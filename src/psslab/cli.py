@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -73,6 +74,44 @@ EXIT_BOUND_FAIL = 40
 
 class CliError(Exception):
     """Unusable command line options."""
+
+
+def _need(ok: bool, message: str) -> None:
+    if not ok:
+        raise CliError(message)
+
+
+def _positive(v: float) -> bool:
+    return math.isfinite(v) and v > 0
+
+
+def _check_options(args: argparse.Namespace) -> None:
+    """Refuse option values a stage would reject, before any work."""
+    cmd = args.command
+    if cmd in ("solve-hjb", "sim-wcp", "verify-bound"):
+        _need(args.grid_n >= 3, "--grid-n must be at least 3")
+        _need(args.z_max is None or _positive(args.z_max), "--z-max must be a positive number")
+    if cmd == "sim-wcp":
+        _need(_positive(args.step), "--step must be a positive number")
+        _need(args.reps >= 2, "--reps must be at least 2")
+        _need(
+            re.fullmatch(r"hjb|static:\d+", args.policy) is not None,
+            "sim-wcp policy must be hjb or static:<mode>",
+        )
+    if cmd in ("sim-qcp", "verify-bound"):
+        _need(
+            args.horizon is None or (math.isfinite(args.horizon) and args.horizon >= 0),
+            "--horizon must be a nonnegative number",
+        )
+        threads = os.environ.get("PSS_THREADS")
+        _need(
+            threads is None or threads.strip().isdigit(),
+            f"PSS_THREADS must be a nonnegative integer, not {threads!r}",
+        )
+    if cmd == "sim-qcp":
+        _need(args.n >= 1, "--n must be a positive integer")
+    if cmd == "verify-bound":
+        _need(args.reps >= 2, "--reps must be at least 2")
 
 
 def _assumption_status(parts: tuple[int, ...]) -> int:
@@ -294,6 +333,8 @@ def cmd_solve_hjb(args: argparse.Namespace) -> int:
 def cmd_sim_wcp(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     raw, inst = _load(args)
+    horizon = args.horizon if args.horizon is not None else 12.0 / inst.gamma
+    _need(math.isfinite(horizon) and horizon >= args.step, f"horizon {horizon} is shorter than --step")
     analysis = analyze(inst)
     _require_assumptions(analysis)
     coeffs = analysis.coefficients
@@ -302,15 +343,13 @@ def cmd_sim_wcp(args: argparse.Namespace) -> int:
         solution = solve_hjb(coeffs, inst.gamma, HjbConfig(z_max=args.z_max, grid_n=args.grid_n))
         policy = extract_policy(solution)
         reference_u0 = solution.u0
-    elif args.policy.startswith("static:"):
+    else:  # static:<mode>, syntax checked by _check_options
         mode = int(args.policy.split(":")[1])
         if not 0 <= mode < len(coeffs):
             raise CliError(f"mode {mode} out of range 0..{len(coeffs) - 1}")
         policy = ModePolicy.constant(mode)
         b, s2 = coeffs[mode]
         reference_u0 = single_mode_value(b, s2, inst.gamma).u0
-    else:
-        raise CliError("sim-wcp policy must be hjb or static:<mode>")
     est = estimate_wcp_cost(
         policy,
         coeffs,
@@ -341,7 +380,6 @@ def cmd_sim_wcp(args: argparse.Namespace) -> int:
     }
     _emit(doc, args, started)
     if args.out:
-        horizon = args.horizon if args.horizon is not None else 12.0 / inst.gamma
         path = simulate_wcp(policy, coeffs, 0.0, args.step, horizon, args.seed, path_id=0)
         _write_csv(
             os.path.join(args.out, "wcp-path.csv"),
@@ -427,6 +465,7 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
         n_list = tuple(int(v) for v in args.n_list.split(","))
     except ValueError as exc:
         raise CliError("--n-list must be comma-separated integers") from exc
+    _need(all(n >= 1 for n in n_list), "--n-list values must be positive")
     report = verify_lower_bound(
         inst,
         analysis,
@@ -532,6 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

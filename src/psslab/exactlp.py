@@ -1,8 +1,9 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase simplex on fractions.Fraction, plus exhaustive basic
-feasible solution enumeration. Bland's rule is used throughout so the
-method terminates under degeneracy. Intended for the small dense programs
+A dense two-phase simplex on fractions.Fraction, Gauss-Jordan
+elimination, and vertex enumeration of a polytope by a pivot walk over
+its feasible bases. Bland's rule is used in the simplex so the method
+terminates under degeneracy. Intended for the small dense programs
 arising from allocation problems (tens of variables), where exactness
 matters more than speed: optimal values, optimal faces, degeneracy and
 uniqueness questions are all decided without tolerances.
@@ -10,10 +11,10 @@ uniqueness questions are all decided without tolerances.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 Rational = Fraction | int
@@ -123,45 +124,11 @@ def _simplex_standard(
     a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
 ) -> tuple[LpStatus, list[Fraction], Fraction | None]:
     """Two-phase simplex for min c.x, a x = b, x >= 0."""
-    m = len(a)
     n = len(c)
-    tab = [row[:] for row in a]
-    rhs = b[:]
-    for i in range(m):
-        if rhs[i] < 0:
-            tab[i] = [-v for v in tab[i]]
-            rhs[i] = -rhs[i]
-
-    # Phase 1: artificial identity basis, minimize the artificial sum.
-    for i in range(m):
-        ext = [ZERO] * m
-        ext[i] = ONE
-        tab[i] = tab[i] + ext
-    basis = [n + i for i in range(m)]
-    cost = [ZERO] * (n + m)
-    for j in range(n):
-        s = ZERO
-        for i in range(m):
-            s += tab[i][j]
-        cost[j] = -s
-    obj = -sum(rhs, ZERO)
-    # Artificial columns never re-enter; once out they are dead.
-    obj = _pivot_loop(tab, rhs, cost, basis, obj, limit=n)
-    if obj is None or -obj != 0:
+    start = _phase_one(a, b, n)
+    if start is None:
         return LpStatus.INFEASIBLE, [], None
-
-    # Drive remaining artificials out of the basis, drop redundant rows.
-    i = 0
-    while i < len(tab):
-        if basis[i] >= n:
-            piv = next((j for j in range(n) if tab[i][j] != 0), None)
-            if piv is None:
-                del tab[i], rhs[i], basis[i]
-                continue
-            _pivot(tab, rhs, cost, i, piv)
-            basis[i] = piv
-        i += 1
-    tab = [row[:n] for row in tab]
+    tab, rhs, basis = start
 
     # Phase 2.
     m = len(tab)
@@ -180,6 +147,51 @@ def _simplex_standard(
     for i in range(m):
         x[basis[i]] = rhs[i]
     return LpStatus.OPTIMAL, x, -obj
+
+
+def _phase_one(
+    a: list[list[Fraction]], b: list[Fraction], n: int
+) -> tuple[list[list[Fraction]], list[Fraction], list[int]] | None:
+    """A feasible basis of a x = b, x >= 0 over n columns as (tableau,
+    rhs, basis), with redundant rows dropped; None when infeasible."""
+    m = len(a)
+    tab = [row[:] for row in a]
+    rhs = b[:]
+    for i in range(m):
+        if rhs[i] < 0:
+            tab[i] = [-v for v in tab[i]]
+            rhs[i] = -rhs[i]
+
+    # Artificial identity basis, minimize the artificial sum.
+    for i in range(m):
+        ext = [ZERO] * m
+        ext[i] = ONE
+        tab[i] = tab[i] + ext
+    basis = [n + i for i in range(m)]
+    cost = [ZERO] * (n + m)
+    for j in range(n):
+        s = ZERO
+        for i in range(m):
+            s += tab[i][j]
+        cost[j] = -s
+    obj = -sum(rhs, ZERO)
+    # Artificial columns never re-enter; once out they are dead.
+    obj = _pivot_loop(tab, rhs, cost, basis, obj, limit=n)
+    if obj is None or -obj != 0:
+        return None
+
+    # Drive remaining artificials out of the basis, drop redundant rows.
+    i = 0
+    while i < len(tab):
+        if basis[i] >= n:
+            piv = next((j for j in range(n) if tab[i][j] != 0), None)
+            if piv is None:
+                del tab[i], rhs[i], basis[i]
+                continue
+            _pivot(tab, rhs, cost, i, piv)
+            basis[i] = piv
+        i += 1
+    return [row[:n] for row in tab], rhs, basis
 
 
 def _pivot_loop(
@@ -216,7 +228,7 @@ def _pivot_loop(
 def _pivot(
     tab: list[list[Fraction]],
     rhs: list[Fraction],
-    cost: list[Fraction],
+    cost: list[Fraction] | None,
     row: int,
     col: int,
 ) -> None:
@@ -233,10 +245,42 @@ def _pivot(
         if f != 0:
             tab[i] = [v - f * w for v, w in zip(tab[i], prow)]
             rhs[i] -= f * pb
+    if cost is None:
+        return
     f = cost[col]
     if f != 0:
         for j in range(len(cost)):
             cost[j] -= f * prow[j]
+
+
+def eliminate(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination to reduced row echelon form.
+
+    Returns the nonzero rows of the reduced form and their pivot columns;
+    the rank is the number of pivots. Solving a linear system is the
+    elimination of its augmented matrix: it is inconsistent when the last
+    column is a pivot, and has a unique solution when every other column
+    is one.
+    """
+    mat = _frac_matrix(rows)
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = ONE / mat[rank][col]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
 
 
 def solve_square(
@@ -244,43 +288,65 @@ def solve_square(
 ) -> list[Fraction] | None:
     """Solve a square rational system exactly; None if singular."""
     n = len(b)
-    mat = [list(row) + [bv] for row, bv in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = ONE / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[col])]
-    return [mat[r][n] for r in range(n)]
+    reduced, pivots = eliminate([list(row) + [bv] for row, bv in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n] for row in reduced[:n]]
 
 
-def enumerate_basic_feasible(
+def enumerate_vertices(
     a: Sequence[Sequence[Rational]], b: Sequence[Rational]
 ) -> list[tuple[Fraction, ...]]:
-    """All basic feasible solutions of a x = b, x >= 0, i.e. the vertices
-    of the polyhedron, each reported once, in lexicographic order.
+    """All vertices of the polytope {x >= 0 : a x = b}, each reported once,
+    in lexicographic order; empty when it is infeasible.
 
-    Requires the constraint matrix to have full row rank; exhaustive over
-    column subsets, so only suitable for small systems.
+    A breadth-first walk over the feasible bases, starting from the
+    phase-1 basis. From each basis every nonbasic column with a positive
+    entry may enter, and every row that ties in its ratio test may leave;
+    each such pivot is an edge to a neighbouring basis, and a visited set
+    of bases keeps the walk finite under degeneracy. The polyhedron must
+    be bounded: then every vertex is reached, since perturbing b so that
+    any one feasible basis becomes nondegenerate leaves a simple polytope
+    whose bases and pivots all survive as feasible bases and pivots of the
+    unperturbed system (Avis and Fukuda, Discrete Comput. Geom. 8, 1992).
     """
     a = _frac_matrix(a)
     b = _frac_vector(b)
-    m = len(a)
     n = len(a[0]) if a else 0
-    seen: set[tuple[Fraction, ...]] = set()
-    cols_t = [[a[i][j] for i in range(m)] for j in range(n)]
-    for subset in combinations(range(n), m):
-        sub = [[cols_t[j][i] for j in subset] for i in range(m)]
-        sol = solve_square(sub, b)
-        if sol is None or any(v < 0 for v in sol):
-            continue
+    start = _phase_one(a, b, n)
+    if start is None:
+        return []
+    seen = {frozenset(start[2])}
+    queue = deque([start])
+    vertices: set[tuple[Fraction, ...]] = set()
+    while queue:
+        tab, rhs, basis = queue.popleft()
         x = [ZERO] * n
-        for j, v in zip(subset, sol):
-            x[j] = v
-        seen.add(tuple(x))
-    return sorted(seen)
+        for i, j in enumerate(basis):
+            x[j] = rhs[i]
+        vertices.add(tuple(x))
+        basic = frozenset(basis)
+        for col in range(n):
+            if col in basic:
+                continue
+            best: Fraction | None = None
+            leaving: list[int] = []
+            for i, row in enumerate(tab):
+                if row[col] > 0:
+                    ratio = rhs[i] / row[col]
+                    if best is None or ratio < best:
+                        best, leaving = ratio, [i]
+                    elif ratio == best:
+                        leaving.append(i)
+            for i in leaving:
+                key = basic - {basis[i]} | {col}
+                if key in seen:
+                    continue
+                seen.add(key)
+                nxt_tab = [row[:] for row in tab]
+                nxt_rhs = rhs[:]
+                _pivot(nxt_tab, nxt_rhs, None, i, col)
+                nxt_basis = basis[:]
+                nxt_basis[i] = col
+                queue.append((nxt_tab, nxt_rhs, nxt_basis))
+    return sorted(vertices)

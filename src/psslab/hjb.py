@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .lp import AssumptionError, LpAnalysis
 from .model import PssInstance
@@ -197,6 +196,11 @@ def _solve_linear(
     dz: float,
     gamma: float,
 ) -> np.ndarray:
+    # Imported here, not at module load: scipy.linalg adds about 27 MB of
+    # RSS and 0.45 s to every process that imports psslab, even one that
+    # only runs analyze.
+    from scipy.linalg import solve_banded
+
     n = len(grid) - 1
     lo = np.array([stencils[m][0] for m in range(len(stencils))])[mode_at]
     di = np.array([stencils[m][1] for m in range(len(stencils))])[mode_at]

@@ -26,6 +26,11 @@ coefficients of the one-dimensional workload diffusion; the workload
 direction is y* and the effective holding cost is driven by the class q
 minimizing h_i / y*_i.
 
+``analyze`` is one pass: the primal LP once, then the modes by a pivot
+walk over the feasible bases of the optimal face, then the dual read off
+complementary slackness with the modes (an LP scan of the dual face only
+when that leaves it more than one point). The assumption report, the
+classification and the coefficients are derived from these results.
 All first order computations are exact over the rationals.
 """
 
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exactlp import LpStatus, enumerate_basic_feasible, solve_lp
+from .exactlp import LpStatus, eliminate, enumerate_vertices, solve_lp
 from .model import MatrixPair, PssInstance, build_matrices
 
 ZERO = Fraction(0)
@@ -188,14 +193,72 @@ def _dual_constraints(inst: PssInstance) -> tuple[list, list, list, list]:
     return a_eq, b_eq, a_ub, b_ub
 
 
-def solve_dual(inst: PssInstance, rho_star: Fraction | None = None) -> DualFace:
-    """Describe the dual optimal face by exact coordinate ranges.
+def solve_dual(
+    inst: PssInstance,
+    rho_star: Fraction | None = None,
+    modes: tuple[Mode, ...] | None = None,
+) -> DualFace:
+    """Describe the dual optimal face exactly, given the modes.
 
-    Each of y_1..y_I, z_1..z_K is minimized and maximized over the face
-    {dual feasible, y.lambda = rho*}; 2(I+K) small exact LPs in total.
+    Every dual optimum is complementary to every optimal allocation:
+    y_i mu_j = z_k on each activity j = (i, k) some mode uses, and z_k = 0
+    on each server some mode leaves below rho*. By strict complementarity
+    (Goldman and Tucker, 1956) these equalities together with
+    sum_k z_k = 1 cut out the affine hull of the dual optimal face, so the
+    dual optimum is unique exactly when they have full rank I + K. Their
+    solution is then checked for feasibility and for y.lambda = rho*. Only
+    a lower rank runs the coordinate scan of the face, whose extremes are
+    the reported witnesses.
     """
     if rho_star is None:
         rho_star, _ = solve_primal(inst)
+    if modes is None:
+        modes = enumerate_modes(inst, rho_star=rho_star)
+    ni, nk = inst.num_classes, inst.num_servers
+    n = ni + nk
+    used = _used_activities(modes)
+    slack = {
+        k for m in modes for k, load in enumerate(_server_loads(inst, m.xi)) if load != rho_star
+    }
+    rows = [[ZERO] * ni + [ONE] * nk + [ONE]]
+    for j, act in enumerate(inst.activities):
+        if j in used:
+            row = [ZERO] * (n + 1)
+            row[act.class_index - 1] = inst.mu[j]
+            row[ni + act.server_index - 1] = -ONE
+            rows.append(row)
+    for k in sorted(slack):
+        row = [ZERO] * (n + 1)
+        row[ni + k] = ONE
+        rows.append(row)
+    reduced, pivots = eliminate(rows)
+    if n in pivots:
+        raise AnalysisError("complementary slackness admits no dual point")
+    if len(pivots) < n:
+        face = _scan_dual_face(inst, rho_star)
+        if face.unique:
+            raise AnalysisError("dual face scan disagrees with the rank of complementary slackness")
+        return face
+    flat = [row[n] for row in reduced]
+    point = DualSolution(y=tuple(flat[:ni]), z=tuple(flat[ni:]))
+    feasible = all(v >= 0 for v in point.z) and all(
+        point.y[act.class_index - 1] * inst.mu[j] <= point.z[act.server_index - 1]
+        for j, act in enumerate(inst.activities)
+    )
+    if not feasible:
+        raise AnalysisError("complementary slackness point is not dual feasible")
+    if sum((y * lam for y, lam in zip(point.y, inst.lam)), ZERO) != rho_star:
+        raise AnalysisError("dual optimum does not match the primal optimum")
+    return DualFace(unique=True, point=point, witnesses=None, ranges=tuple((v, v) for v in flat))
+
+
+def _scan_dual_face(inst: PssInstance, rho_star: Fraction) -> DualFace:
+    """Coordinate ranges of the dual optimal face by exact LPs.
+
+    Each of y_1..y_I, z_1..z_K is minimized and maximized over the face
+    {dual feasible, y.lambda = rho*}, after one LP that confirms the dual
+    optimum: 2(I+K)+1 small exact LPs in total.
+    """
     ni, nk = inst.num_classes, inst.num_servers
     n = ni + nk
     nonneg = [False] * ni + [True] * nk
@@ -233,45 +296,45 @@ def solve_dual(inst: PssInstance, rho_star: Fraction | None = None) -> DualFace:
     return DualFace(unique=unique, point=point, witnesses=witnesses, ranges=tuple(ranges))
 
 
+def _used_activities(modes: tuple[Mode, ...]) -> set[int]:
+    """Union of the mode supports."""
+    return {j for mode in modes for j, v in enumerate(mode.xi) if v != 0}
+
+
+def _server_loads(inst: PssInstance, xi: tuple[Fraction, ...]) -> list[Fraction]:
+    """G xi: the effort each server spends under the allocation xi."""
+    loads = [ZERO] * inst.num_servers
+    for j, act in enumerate(inst.activities):
+        loads[act.server_index - 1] += xi[j]
+    return loads
+
+
 def enumerate_modes(
     inst: PssInstance, rho_star: Fraction = ONE, mats: MatrixPair | None = None
 ) -> tuple[Mode, ...]:
     """Extreme points of {xi >= 0 : R xi = lambda, G xi <= rho* 1}.
 
-    Enumerated exactly via basic feasible solutions of the slack-extended
-    equality system, deduplicated, sorted lexicographically. A mode is
-    flagged degenerate when its support has fewer than I + K - 1
-    activities, i.e. a basic variable vanishes once all server constraints
-    bind.
+    Enumerated exactly by a pivot walk over the feasible bases of the
+    slack-extended equality system [R 0; G I] x = (lambda, rho* 1). The
+    slacks are determined by xi, so its vertices are the modes, already
+    distinct and in lexicographic order; each is checked to be a vertex.
+    A mode is flagged degenerate when its support has fewer than
+    I + K - 1 activities, i.e. a basic variable vanishes once all server
+    constraints bind.
     """
     if mats is None:
         mats = build_matrices(inst)
     ni, nk, nj = inst.num_classes, inst.num_servers, inst.num_activities
-    a = []
-    b = []
-    for row in mats.r:
-        a.append(list(row) + [ZERO] * nk)
-        b.append(None)
-    for i in range(ni):
-        b[i] = inst.lam[i]
-    for k, row in enumerate(mats.g):
-        slack = [ZERO] * nk
-        slack[k] = ONE
-        a.append(list(row) + slack)
-        b.append(rho_star)
-    vertices = enumerate_basic_feasible(a, b)
+    a = [list(row) + [ZERO] * nk for row in mats.r]
+    a += [list(row) + [ONE if s == k else ZERO for s in range(nk)] for k, row in enumerate(mats.g)]
+    b = list(inst.lam) + [rho_star] * nk
     modes = []
-    seen: set[tuple[Fraction, ...]] = set()
-    for x in vertices:
+    for x in enumerate_vertices(a, b):
         xi = x[:nj]
-        if xi in seen:
-            continue
-        seen.add(xi)
         _verify_vertex(inst, mats, xi, rho_star)
         support = sum(1 for v in xi if v != 0)
-        modes.append((xi, support < ni + nk - 1))
-    modes.sort(key=lambda t: t[0])
-    return tuple(Mode(index=m, xi=xi, degenerate=deg) for m, (xi, deg) in enumerate(modes))
+        modes.append(Mode(index=len(modes), xi=xi, degenerate=support < ni + nk - 1))
+    return tuple(modes)
 
 
 def _verify_vertex(
@@ -290,29 +353,8 @@ def _verify_vertex(
             binding.append(row)
     support = [j for j, v in enumerate(xi) if v != 0]
     stacked = [[row[j] for j in support] for row in list(mats.r) + binding]
-    if _rank(stacked) != len(support):
+    if len(eliminate(stacked)[1]) != len(support):
         raise AnalysisError("enumerated point is not a vertex")
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = ONE / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
 
 
 def classify_activities(
@@ -337,11 +379,7 @@ def classify_activities(
         )
     if modes is None:
         modes = enumerate_modes(inst)
-    used = set()
-    for mode in modes:
-        for j, v in enumerate(mode.xi):
-            if v != 0:
-                used.add(j)
+    used = _used_activities(modes)
     claimed = {j for j, c in enumerate(out) if c is ActivityClass.POTENTIALLY_BASIC}
     if used != claimed:
         raise AnalysisError(
@@ -352,24 +390,26 @@ def classify_activities(
 
 
 def validate_assumptions(inst: PssInstance) -> AssumptionReport:
-    """Exact pass/fail for the three structural conditions, with witnesses."""
-    rho_star, _ = solve_primal(inst)
-    critical = rho_star == ONE
-    modes = enumerate_modes(inst, rho_star=rho_star)
-    mats = build_matrices(inst)
-    load_witness = None
-    for mode in modes:
-        for k, row in enumerate(mats.g):
-            load = sum(c * v for c, v in zip(row, mode.xi))
-            if load != rho_star:
-                load_witness = (mode.index, k, load)
-                break
-        if load_witness is not None:
-            break
-    face = solve_dual(inst, rho_star=rho_star)
+    """Exact pass/fail for the three structural conditions, with witnesses;
+    the assumption report of ``analyze``."""
+    return analyze(inst).assumptions
+
+
+def _assumption_report(
+    inst: PssInstance, rho_star: Fraction, modes: tuple[Mode, ...], face: DualFace
+) -> AssumptionReport:
+    load_witness = next(
+        (
+            (mode.index, k, load)
+            for mode in modes
+            for k, load in enumerate(_server_loads(inst, mode.xi))
+            if load != rho_star
+        ),
+        None,
+    )
     return AssumptionReport(
         rho_star=rho_star,
-        critical=critical,
+        critical=rho_star == ONE,
         fully_loaded=load_witness is None,
         dual_unique=face.unique,
         load_witness=load_witness,
@@ -466,26 +506,29 @@ def select_q(h: tuple[float, ...], dual: DualSolution) -> int:
 
 
 def analyze(inst: PssInstance) -> LpAnalysis:
-    """Run the full exact pipeline; partial results when assumptions fail."""
-    report = validate_assumptions(inst)
-    modes = enumerate_modes(inst, rho_star=report.rho_star)
+    """Run the full exact pipeline; partial results when assumptions fail.
+
+    One pass: the primal optimum, the modes and the dual face are each
+    computed once, and the assumption report, the classification and the
+    coefficients are read off them.
+    """
+    rho_star, _ = solve_primal(inst)
+    modes = enumerate_modes(inst, rho_star=rho_star)
+    face = solve_dual(inst, rho_star=rho_star, modes=modes)
+    report = _assumption_report(inst, rho_star, modes, face)
     decomposition = check_decomposable(inst)
-    dual = None
     classification = None
     q = None
     coefficients = None
-    if report.dual_unique:
-        face = solve_dual(inst, rho_star=report.rho_star)
-        dual = face.point
     if report.all_pass:
-        classification = classify_activities(inst, dual, modes=modes)
-        q = select_q(inst.h, dual)
-        coefficients = tuple(mode_coefficients(inst, mode, dual) for mode in modes)
+        classification = classify_activities(inst, face.point, modes=modes)
+        q = select_q(inst.h, face.point)
+        coefficients = tuple(mode_coefficients(inst, mode, face.point) for mode in modes)
     return LpAnalysis(
         instance=inst,
-        rho_star=report.rho_star,
+        rho_star=rho_star,
         modes=modes,
-        dual=dual,
+        dual=face.point,
         classification=classification,
         assumptions=report,
         q=q,

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .hjb import HjbSolution, ModePolicy
+from .hjb import HjbSolution, ModePolicy, compute_v0
 from .lp import ActivityClass, AssumptionError, LpAnalysis
 from .model import PssInstance
 from .wcp import Z95, McEstimate, skorokhod_map
@@ -618,6 +617,10 @@ def estimate_qcp_cost(
         threads = int(os.environ.get("PSS_THREADS", "1"))
     tasks = [(inst, analysis, n, policy, horizon, seed, rep) for rep in range(n_reps)]
     if threads > 1:
+        # Imported only when used: the process pool machinery adds about
+        # 1.5 MB to every process that imports psslab.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_rep_cost, tasks, chunksize=max(1, n_reps // (4 * threads))))
     else:
@@ -675,8 +678,7 @@ def verify_lower_bound(
             "the lower bound is defined only under the structural assumptions",
             analysis.assumptions.failing_parts,
         )
-    q = analysis.q
-    v0 = inst.h[q] / float(analysis.dual.y[q]) * solution.u0
+    v0 = compute_v0(inst, analysis, solution)
     runs = []
     for n in n_list:
         for policy in policies:

@@ -2,11 +2,13 @@ import json
 import pathlib
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import psslab as ps
+from psslab.exactlp import solve_square
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -98,3 +100,26 @@ def random_decomposable_2x2(rng: np.random.Generator) -> ps.PssInstance:
     ]
     doc = {"classes": classes, "servers": 2, "activities": activities, "gamma": 1.0}
     return ps.load_instance(json.dumps(doc))
+
+
+def enumerate_basic_feasible(a, b) -> list[tuple[Fraction, ...]]:
+    """Exact oracle for vertex enumeration: all basic feasible solutions of
+    a x = b, x >= 0, each reported once, in lexicographic order.
+
+    Exhaustive over the column subsets of size rank, so only for small
+    systems; requires the constraint matrix to have full row rank.
+    """
+    a = [[Fraction(v) for v in row] for row in a]
+    b = [Fraction(v) for v in b]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    seen = set()
+    for subset in combinations(range(n), m):
+        sol = solve_square([[row[j] for j in subset] for row in a], b)
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        x = [Fraction(0)] * n
+        for j, v in zip(subset, sol):
+            x[j] = v
+        seen.add(tuple(x))
+    return sorted(seen)

@@ -268,3 +268,31 @@ def test_reports_written_under_out(capsys, tmp_path):
     body = (out_dir / "analyze-report.json").read_text()
     assert body == out
     assert json.loads(body)["analysis"]["rho_star"]["exact"] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["sim-wcp", "--step", "0"], None),
+        (["sim-wcp", "--step", "-1"], None),
+        (["sim-wcp", "--step", "nan"], None),
+        (["sim-wcp", "--step", "0.1", "--horizon", "0.01"], None),
+        (["sim-wcp", "--reps", "1"], None),
+        (["sim-wcp", "--policy", "static:x"], None),
+        (["solve-hjb", "--grid-n", "2"], None),
+        (["solve-hjb", "--z-max", "-1"], None),
+        (["sim-qcp", "--n", "4", "--horizon", "-1"], None),
+        (["sim-qcp", "--n", "0"], None),
+        (["sim-qcp", "--n", "4", "--reps", "2"], "abc"),
+        (["verify-bound", "--reps", "1"], None),
+        (["verify-bound", "--n-list", "25,0"], None),
+    ],
+)
+def test_bad_options_exit_10(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("PSS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PSS_THREADS", env)
+    code, out, err = run(capsys, *argv[:1], "--instance", path_of("mm1"), *argv[1:])
+    assert code == 10
+    assert out == "" and err.startswith("error: ")

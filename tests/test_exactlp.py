@@ -3,9 +3,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import enumerate_basic_feasible
 from psslab.exactlp import (
     LpStatus,
-    enumerate_basic_feasible,
+    eliminate,
+    enumerate_vertices,
     solve_lp,
     solve_square,
 )
@@ -102,3 +104,31 @@ def test_enumerate_basic_feasible_skips_singular_bases():
     # x + y + z = 1 with y = 0: two vertices, one singular basis.
     verts = enumerate_basic_feasible([[O, O, O], [Z, O, Z]], [O, Z])
     assert verts == [(Z, Z, O), (O, Z, Z)]
+
+
+def test_eliminate_rank_and_reduced_form():
+    rows = [[F(2), F(4), F(2)], [O, F(2), O], [F(3), F(7), F(3)]]
+    reduced, pivots = eliminate(rows)
+    # The third row is 3/2 the first plus 1/2 the second: rank 2.
+    assert pivots == [0, 1]
+    assert reduced == [[O, Z, O], [Z, O, Z]]
+    assert eliminate([[Z, Z]]) == ([], [])
+    # An augmented system is inconsistent when the last column pivots.
+    assert eliminate([[O, O], [O, F(2)]])[1] == [0, 1]
+
+
+def test_enumerate_vertices_matches_oracle_on_small_systems():
+    cases = [
+        ([[O, O, O]], [O]),
+        ([[O, O, O], [Z, O, Z]], [O, Z]),
+        # Unit square with slacks; the vertex (1, 1) is where both bind.
+        ([[O, Z, O, Z], [Z, O, Z, O]], [O, O]),
+        # A degenerate vertex: x = (1, 0) makes four constraints bind in the plane.
+        ([[O, O, O, Z, Z], [O, -O, Z, O, Z], [O, Z, Z, Z, O]], [O, O, O]),
+        # The segment x1 = x2 of x1 + x2 <= 1: every pivot out of the
+        # phase-1 basis at the origin is degenerate.
+        ([[O, Z, Z, O, -O], [Z, O, Z, -O, O], [Z, Z, O, O, O]], [Z, Z, O]),
+    ]
+    for a, b in cases:
+        assert enumerate_vertices(a, b) == enumerate_basic_feasible(a, b)
+    assert enumerate_vertices([[O, O]], [-O]) == []

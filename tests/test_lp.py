@@ -3,10 +3,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import psslab as ps
+from psslab import lp
 from psslab.exactlp import LpStatus, solve_lp
-from conftest import random_decomposable_2x2
+from conftest import _rat_json, enumerate_basic_feasible, random_decomposable_2x2
 
 
 def xi_of(analysis):
@@ -240,3 +243,71 @@ def test_classification_always_nonbasic():
         ps.ActivityClass.ALWAYS_NONBASIC,
         ps.ActivityClass.POTENTIALLY_BASIC,
     )
+
+
+@st.composite
+def small_instances(draw):
+    """Random instances up to 3x3 with an allocation that loads every
+    server fully: product-form rates (critical by construction) or
+    generic rates (rho* <= 1)."""
+    ni = draw(st.integers(1, 3))
+    nk = draw(st.integers(1, 3))
+    pairs = [(i, k) for i in range(ni) for k in range(nk)]
+    dropped = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs) // 2))
+    acts = [p for p in pairs if p not in dropped]
+    assume({i for i, _ in acts} == set(range(ni)) and {k for _, k in acts} == set(range(nk)))
+    if draw(st.booleans()):
+        alpha = draw(st.lists(st.integers(1, 4), min_size=ni, max_size=ni))
+        beta = draw(st.lists(st.integers(1, 4), min_size=nk, max_size=nk))
+        mu = [F(alpha[i] * beta[k]) for i, k in acts]
+    else:
+        rates = st.lists(st.integers(1, 6), min_size=len(acts), max_size=len(acts))
+        mu = [F(v) for v in draw(rates)]
+    weight = draw(st.lists(st.integers(0, 3), min_size=len(acts), max_size=len(acts)))
+    total = [sum(w for w, (_, k) in zip(weight, acts) if k == s) for s in range(nk)]
+    assume(all(total))
+    lam = [F(0)] * ni
+    for (i, k), m, w in zip(acts, mu, weight):
+        lam[i] += m * F(w, total[k])
+    assume(all(lam))
+    doc = {
+        "classes": [{"lambda": _rat_json(v), "hat_lambda": 0.0, "c2_a": 1.0, "h": 1.0} for v in lam],
+        "servers": nk,
+        "activities": [
+            {"i": i + 1, "k": k + 1, "mu": _rat_json(m), "hat_mu": 0.0, "c2_s": 1.0}
+            for (i, k), m in zip(acts, mu)
+        ],
+        "gamma": 1.0,
+    }
+    return ps.load_instance(json.dumps(doc))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_instances())
+def test_pivot_walk_and_slackness_dual_match_exhaustive_routes(inst):
+    rho, _ = ps.solve_primal(inst)
+    modes = ps.enumerate_modes(inst, rho_star=rho)
+
+    # Modes: the pivot walk against exhaustive search over column subsets.
+    mats = ps.build_matrices(inst)
+    nk, nj = inst.num_servers, inst.num_activities
+    a = [list(row) + [F(0)] * nk for row in mats.r]
+    a += [list(row) + [F(int(s == k)) for s in range(nk)] for k, row in enumerate(mats.g)]
+    b = list(inst.lam) + [rho] * nk
+    assert [m.xi for m in modes] == sorted({x[:nj] for x in enumerate_basic_feasible(a, b)})
+
+    # Dual: complementary slackness against the LP scan of the face.
+    face = ps.solve_dual(inst, rho_star=rho, modes=modes)
+    scan = lp._scan_dual_face(inst, rho)
+    assert face.unique == scan.unique
+    assert face.point == scan.point
+    assert face.witnesses == scan.witnesses
+
+    # Strong duality, with the dual solved directly.
+    ni = inst.num_classes
+    a_eq, b_eq, a_ub, b_ub = lp._dual_constraints(inst)
+    objective = [-v for v in inst.lam] + [F(0)] * nk
+    res = solve_lp(objective, a_eq, b_eq, a_ub, b_ub, [False] * ni + [True] * nk)
+    assert res.status is LpStatus.OPTIMAL and -res.value == rho
+    for dual in (face.point,) if face.unique else face.witnesses:
+        assert sum(y * v for y, v in zip(dual.y, inst.lam)) == rho
