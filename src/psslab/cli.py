@@ -9,8 +9,10 @@ lower-bound comparison). Reports are JSON documents on stdout (and under
 configuration, the seed, and the toolkit version; exact rationals are
 rendered as {"exact": "p/q", "approx": float}. Reports are byte-stable
 for a fixed (instance, config, seed) except for the top-level "timing"
-key. Traces are CSV, long form ``t,series,name,value`` by default or one
-column per series with --wide.
+key, which holds wall seconds: the total and, for sim-qcp and
+verify-bound, one figure per stage under "stages". Traces are CSV, long
+form ``t,series,name,value`` by default or one column per series with
+--wide.
 
 Exit status: 0 success; 10 unreadable/invalid instance or bad options;
 21/22/23 structural assumption failure (criticality, full server load,
@@ -21,6 +23,7 @@ or simulator failure; 40 lower-bound verdict FAIL.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -228,9 +231,21 @@ def _meta(args: argparse.Namespace, raw: bytes, config: dict) -> dict:
     }
 
 
-def _emit(doc: dict, args: argparse.Namespace, started: float) -> None:
+@contextlib.contextmanager
+def _stage(stages: dict, name: str):
+    """Add the wall seconds of the enclosed block to stages[name]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] += time.perf_counter() - t0
+
+
+def _emit(doc: dict, args: argparse.Namespace, started: float, stages: dict | None = None) -> None:
     doc = dict(doc)
     doc["timing"] = {"seconds": time.perf_counter() - started}
+    if stages is not None:
+        doc["timing"]["stages"] = stages
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
     if args.out:
@@ -393,24 +408,30 @@ def cmd_sim_wcp(args: argparse.Namespace) -> int:
 
 def cmd_sim_qcp(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    stages = dict.fromkeys(("analyze", "hjb", "qcp", "scaled_checks"), 0.0)
     raw, inst = _load(args)
-    analysis = analyze(inst)
+    with _stage(stages, "analyze"):
+        analysis = analyze(inst)
     _require_assumptions(analysis)
 
     def solution_of() -> HjbSolution:
-        return solve_hjb(analysis.coefficients, inst.gamma, HjbConfig())
+        with _stage(stages, "hjb"):
+            return solve_hjb(analysis.coefficients, inst.gamma, HjbConfig())
 
     policy = _parse_policy(args.policy, analysis, solution_of)
-    trace = run_qcp(inst, analysis, args.n, policy, horizon=args.horizon, seed=args.seed, rep=0)
-    series = compute_scaled(trace, args.n, analysis)
-    checks = check_trace_inequalities(series, analysis)
+    with _stage(stages, "qcp"):
+        trace = run_qcp(inst, analysis, args.n, policy, horizon=args.horizon, seed=args.seed, rep=0)
+    with _stage(stages, "scaled_checks"):
+        series = compute_scaled(trace, args.n, analysis)
+        checks = check_trace_inequalities(series, analysis)
     estimate = None
     if args.reps >= 2:
-        estimate = _estimate_doc(
-            estimate_qcp_cost(
-                inst, analysis, args.n, policy, args.reps, horizon=args.horizon, seed=args.seed
+        with _stage(stages, "qcp"):
+            estimate = _estimate_doc(
+                estimate_qcp_cost(
+                    inst, analysis, args.n, policy, args.reps, horizon=args.horizon, seed=args.seed
+                )
             )
-        )
     doc = {
         "meta": _meta(
             args,
@@ -432,7 +453,7 @@ def cmd_sim_qcp(args: argparse.Namespace) -> int:
             "max_relative_violation": checks.max_relative_violation,
         },
     }
-    _emit(doc, args, started)
+    _emit(doc, args, started, stages)
     if args.out:
         columns = {"w": series.w, "f": series.f, "l": series.l, "l_an": series.l_an, "h": series.h}
         for i in range(inst.num_classes):
@@ -447,12 +468,15 @@ def cmd_sim_qcp(args: argparse.Namespace) -> int:
 
 def cmd_verify_bound(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    stages = dict.fromkeys(("analyze", "hjb", "qcp"), 0.0)
     raw, inst = _load(args)
-    analysis = analyze(inst)
+    with _stage(stages, "analyze"):
+        analysis = analyze(inst)
     _require_assumptions(analysis)
-    solution = solve_hjb(
-        analysis.coefficients, inst.gamma, HjbConfig(z_max=args.z_max, grid_n=args.grid_n)
-    )
+    with _stage(stages, "hjb"):
+        solution = solve_hjb(
+            analysis.coefficients, inst.gamma, HjbConfig(z_max=args.z_max, grid_n=args.grid_n)
+        )
     if args.policy:
         policies = tuple(
             _parse_policy(text, analysis, lambda: solution) for text in args.policy
@@ -466,16 +490,17 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError("--n-list must be comma-separated integers") from exc
     _need(all(n >= 1 for n in n_list), "--n-list values must be positive")
-    report = verify_lower_bound(
-        inst,
-        analysis,
-        solution,
-        n_list,
-        policies,
-        n_reps=args.reps,
-        horizon=args.horizon,
-        seed=args.seed,
-    )
+    with _stage(stages, "qcp"):
+        report = verify_lower_bound(
+            inst,
+            analysis,
+            solution,
+            n_list,
+            policies,
+            n_reps=args.reps,
+            horizon=args.horizon,
+            seed=args.seed,
+        )
     doc = {
         "meta": _meta(
             args,
@@ -505,7 +530,7 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
         "min_by_n": [{"n": n, "best_cost": c} for n, c in report.min_by_n],
         "verdict": report.verdict,
     }
-    _emit(doc, args, started)
+    _emit(doc, args, started, stages)
     return EXIT_OK if report.verdict == "PASS" else EXIT_BOUND_FAIL
 
 

