@@ -9,7 +9,7 @@ lower-bound comparison). Reports are JSON documents on stdout (and under
 configuration, the seed, and the toolkit version; exact rationals are
 rendered as {"exact": "p/q", "approx": float}. Reports are byte-stable
 for a fixed (instance, config, seed) except for the top-level "timing"
-key, which holds wall seconds: the total and, for sim-qcp and
+key, which holds wall seconds: the total and, for sim-wcp, sim-qcp and
 verify-bound, one figure per stage under "stages". Traces are CSV, long
 form ``t,series,name,value`` by default or one column per series with
 --wide.
@@ -347,15 +347,20 @@ def cmd_solve_hjb(args: argparse.Namespace) -> int:
 
 def cmd_sim_wcp(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    stages = dict.fromkeys(("analyze", "hjb", "wcp"), 0.0)
     raw, inst = _load(args)
     horizon = args.horizon if args.horizon is not None else 12.0 / inst.gamma
     _need(math.isfinite(horizon) and horizon >= args.step, f"horizon {horizon} is shorter than --step")
-    analysis = analyze(inst)
+    with _stage(stages, "analyze"):
+        analysis = analyze(inst)
     _require_assumptions(analysis)
     coeffs = analysis.coefficients
     reference_u0 = None
     if args.policy == "hjb":
-        solution = solve_hjb(coeffs, inst.gamma, HjbConfig(z_max=args.z_max, grid_n=args.grid_n))
+        with _stage(stages, "hjb"):
+            solution = solve_hjb(
+                coeffs, inst.gamma, HjbConfig(z_max=args.z_max, grid_n=args.grid_n)
+            )
         policy = extract_policy(solution)
         reference_u0 = solution.u0
     else:  # static:<mode>, syntax checked by _check_options
@@ -365,15 +370,16 @@ def cmd_sim_wcp(args: argparse.Namespace) -> int:
         policy = ModePolicy.constant(mode)
         b, s2 = coeffs[mode]
         reference_u0 = single_mode_value(b, s2, inst.gamma).u0
-    est = estimate_wcp_cost(
-        policy,
-        coeffs,
-        inst.gamma,
-        step=args.step,
-        horizon=args.horizon,
-        n_paths=args.reps,
-        seed=args.seed,
-    )
+    with _stage(stages, "wcp"):
+        est = estimate_wcp_cost(
+            policy,
+            coeffs,
+            inst.gamma,
+            step=args.step,
+            horizon=args.horizon,
+            n_paths=args.reps,
+            seed=args.seed,
+        )
     doc = {
         "meta": _meta(
             args,
@@ -388,12 +394,14 @@ def cmd_sim_wcp(args: argparse.Namespace) -> int:
             },
         ),
         "estimate": _estimate_doc(est),
+        "paths": est.n_paths,
+        "path_steps": est.n_paths * round(est.horizon / est.step),
         "reference_u0": reference_u0,
         "policy_intervals": [
             {"lo": lo, "hi": _finite(hi), "mode": m} for lo, hi, m in policy.intervals
         ],
     }
-    _emit(doc, args, started)
+    _emit(doc, args, started, stages)
     if args.out:
         path = simulate_wcp(policy, coeffs, 0.0, args.step, horizon, args.seed, path_id=0)
         _write_csv(

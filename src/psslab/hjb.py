@@ -195,6 +195,16 @@ def _hamiltonians(u: np.ndarray, coefficients: Coefficients, dz: float) -> np.nd
     return out
 
 
+def _minimizing_modes(ham: np.ndarray, coefficients: Coefficients) -> np.ndarray:
+    """Pointwise argmin of the Hamiltonians. At z = 0 the drift term is
+    absent, so modes tied there are ranked by b, their order as z -> 0+
+    (where u' > 0), not by index."""
+    mode_at = np.argmin(ham, axis=0)
+    tied = np.flatnonzero(ham[:, 0] == ham[mode_at[0], 0])
+    mode_at[0] = min(tied, key=lambda m: coefficients[m][0])
+    return mode_at
+
+
 def _solve_linear(
     mode_at: np.ndarray,
     stencils,
@@ -263,7 +273,7 @@ def solve_hjb(
         for _ in range(config.max_iterations):
             iterations += 1
             u_new = _solve_linear(mode_at, stencils, grid, dz, gamma)
-            new_mode = np.argmin(_hamiltonians(u_new, coefficients, dz), axis=0)
+            new_mode = _minimizing_modes(_hamiltonians(u_new, coefficients, dz), coefficients)
             moved = not np.array_equal(new_mode, mode_at)
             settled = u is not None and float(np.max(np.abs(u_new - u))) <= config.tol_policy
             u = u_new

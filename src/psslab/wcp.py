@@ -18,9 +18,15 @@ which removes the boundary bias (the reflected increment is then exact
 in law for the frozen coefficients). Estimates use the default scheme;
 set bridge=False to get the plain projected Euler path.
 
-Streams are counter based: path p of seed s draws from
-Philox(SeedSequence(s, spawn_key=(p,))), so any subset of paths can be
-regenerated independently of batch layout or scheduling.
+Streams are counter based: path p of seed s owns the bit generator
+Philox(SeedSequence(s, spawn_key=(p,))). Its normals drive the Euler
+increments; the bridge scheme's minima use standard exponentials from a
+copy of that generator jumped 2**128 draws ahead, so the two streams
+never overlap. One kernel advances a batch of paths in lockstep and draws
+each path's noise _CHUNK steps at a time, so memory is O(batch x chunk)
+whatever the horizon, and a path depends only on (seed, path_id), not on
+the batch width, the chunk length or scheduling. simulate_wcp is that
+kernel at width one with its lane recorded.
 """
 
 from __future__ import annotations
@@ -75,36 +81,68 @@ def skorokhod_map(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return psi + eta, eta
 
 
-def _path_rng(seed: int, path_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(path_id,))))
+_CHUNK = 512  # time steps of noise drawn per path at a time
 
 
-def _draw_noise(seed: int, path_id: int, n_steps: int, bridge: bool):
-    rng = _path_rng(seed, path_id)
-    normals = rng.standard_normal(n_steps)
-    uniforms = 1.0 - rng.random(n_steps) if bridge else None
-    return normals, uniforms
+def _path_streams(seed: int, path_id: int, bridge: bool):
+    """Generators of one path: its Euler normals, and for the bridge
+    scheme the exponentials of its within-step minima (else None)."""
+    bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(path_id,)))
+    return np.random.Generator(bits), np.random.Generator(bits.jumped()) if bridge else None
 
 
-def _step_chunk(psi, eta, b, s, dt, normals_k, uniforms_k):
-    """Advance a vector of paths one step; returns (psi, eta, z)."""
-    dpsi = b * dt + s * math.sqrt(dt) * normals_k
-    psi_next = psi + dpsi
-    if uniforms_k is None:
-        eta = np.maximum(eta, -psi_next)
-    else:
-        # Closed-form minimum of the Brownian bridge between the step
-        # endpoints; exact in law for coefficients frozen over the step.
-        gap2 = dpsi * dpsi - 2.0 * (s * s * dt) * np.log(uniforms_k)
-        m = 0.5 * (psi + psi_next - np.sqrt(gap2))
-        eta = np.maximum(eta, -m)
-    return psi_next, eta, psi_next + eta
+def _steps(policy, coefficients, z0, step, n_steps, seed, path_ids, bridge):
+    """Advance the paths path_ids together from z0, one Euler step at a time.
 
+    Yields (z, eta), the reflected state and the local time after each
+    step; the arrays are overwritten by the next step. Noise is drawn
+    _CHUNK steps at a time per path, so memory does not grow with n_steps.
+    """
+    thr = np.asarray(policy.thresholds, dtype=float)
+    b, s2 = np.array([coefficients[m] for m in policy.modes], dtype=float).T
+    # Per interval: the drift and the noise scale of one step, and the
+    # 2 s^2 dt of its bridge minimum.
+    table = np.array([b * step, np.sqrt(s2) * math.sqrt(step), 2.0 * s2 * step])
 
-def _mode_coeff_arrays(coefficients: Coefficients):
-    b = np.array([c[0] for c in coefficients])
-    s = np.sqrt([c[1] for c in coefficients])
-    return b, np.asarray(s)
+    width = len(path_ids)
+    streams = [_path_streams(seed, p, bridge) for p in path_ids]
+    normals = np.empty((width, _CHUNK))
+    expo = np.empty((width, _CHUNK)) if bridge else None
+    psi = np.full(width, float(z0))
+    eta = np.zeros(width)
+    z = psi.copy()
+    dpsi, tmp, tmp2 = np.empty(width), np.empty(width), np.empty(width)
+    coef = np.repeat(table[:, :1], width, axis=1)
+    bk, sk, gk = coef
+    for c0 in range(0, n_steps, _CHUNK):
+        n = min(_CHUNK, n_steps - c0)
+        for lane, (gen_n, gen_e) in enumerate(streams):
+            gen_n.standard_normal(out=normals[lane, :n])
+            if bridge:
+                gen_e.standard_exponential(out=expo[lane, :n])
+        for k in range(n):
+            if thr.size:
+                table.take(thr.searchsorted(z, side="right"), axis=1, out=coef)
+            np.multiply(sk, normals[:, k], out=dpsi)
+            dpsi += bk
+            if bridge:
+                # Closed-form minimum of the Brownian bridge between the step
+                # endpoints, psi + (dpsi - sqrt(dpsi^2 + 2 s^2 dt E)) / 2 with
+                # E ~ Exp(1); exact in law for coefficients frozen over the step.
+                np.multiply(dpsi, dpsi, out=tmp)
+                np.multiply(gk, expo[:, k], out=tmp2)
+                tmp += tmp2
+                np.sqrt(tmp, out=tmp)
+                tmp -= dpsi
+                tmp *= 0.5
+                tmp -= psi
+                psi += dpsi
+            else:
+                psi += dpsi
+                np.negative(psi, out=tmp)
+            np.maximum(eta, tmp, out=eta)
+            np.add(psi, eta, out=z)
+            yield z, eta
 
 
 def simulate_wcp(
@@ -117,31 +155,22 @@ def simulate_wcp(
     path_id: int = 0,
     bridge: bool = True,
 ) -> SamplePath1D:
-    """Generate one path of the controlled reflected diffusion."""
+    """Generate one path of the controlled reflected diffusion: lane
+    path_id of the batch that estimate_wcp_cost runs."""
     if z0 < 0:
         raise ValueError("z0 must be nonnegative")
     if step <= 0 or horizon < step:
         raise ValueError("need 0 < step <= horizon")
     n_steps = int(round(horizon / step))
-    b_arr, s_arr = _mode_coeff_arrays(coefficients)
-    normals, uniforms = _draw_noise(seed, path_id, n_steps, bridge)
-
     values = np.empty(n_steps + 1)
-    local = np.empty(n_steps + 1)
-    modes = np.empty(n_steps, dtype=np.int64)
-    psi = float(z0)
-    eta = 0.0
-    values[0] = psi
-    local[0] = 0.0
-    single = len(coefficients) == 1
-    z = psi
-    for k in range(n_steps):
-        m = 0 if single else policy(z)
-        modes[k] = m
-        u_k = None if uniforms is None else uniforms[k]
-        psi, eta, z = _step_chunk(psi, eta, b_arr[m], s_arr[m], step, normals[k], u_k)
-        values[k + 1] = z
-        local[k + 1] = eta
+    local = np.zeros(n_steps + 1)
+    values[0] = z0
+    lanes = _steps(policy, coefficients, z0, step, n_steps, seed, (path_id,), bridge)
+    for k, (z, eta) in enumerate(lanes, 1):
+        values[k] = z[0]
+        local[k] = eta[0]
+    # Each step's mode is the policy's at the value the step started from.
+    modes = policy.mode_of(values[:-1])
     times = np.arange(n_steps + 1) * step
     return SamplePath1D(times=times, values=values, local_time=local, mode_trace=modes)
 
@@ -172,7 +201,7 @@ def estimate_wcp_cost(
     n_paths: int = 10_000,
     seed: int = 0,
     bridge: bool = True,
-    batch: int = 512,
+    batch: int = 2048,
 ) -> McEstimate:
     """Monte Carlo mean of the discounted area under the controlled path.
 
@@ -187,35 +216,21 @@ def estimate_wcp_cost(
     if horizon is None:
         horizon = 12.0 / gamma
     n_steps = int(round(horizon / step))
-    b_arr, s_arr = _mode_coeff_arrays(coefficients)
-    single = len(coefficients) == 1
+    # Trapezoid weights exp(-gamma t_k), with the end weights halved.
     weights = np.exp(-gamma * step * np.arange(n_steps + 1))
+    weights[[0, -1]] *= 0.5
+    w = weights.tolist()
     costs = np.empty(n_paths)
 
     for start in range(0, n_paths, batch):
-        width = min(batch, n_paths - start)
-        noise_n = np.empty((n_steps, width))
-        noise_u = np.empty((n_steps, width)) if bridge else None
-        for p in range(width):
-            normals, uniforms = _draw_noise(seed, start + p, n_steps, bridge)
-            noise_n[:, p] = normals
-            if bridge:
-                noise_u[:, p] = uniforms
-        psi = np.full(width, float(z0))
-        eta = np.zeros(width)
-        z = psi.copy()
-        acc = weights[0] * 0.5 * z
-        for k in range(n_steps):
-            if single:
-                b, s = b_arr[0], s_arr[0]
-            else:
-                m = policy.mode_of(z)
-                b, s = b_arr[m], s_arr[m]
-            u_k = None if noise_u is None else noise_u[k]
-            psi, eta, z = _step_chunk(psi, eta, b, s, step, noise_n[k], u_k)
-            w = weights[k + 1] if k < n_steps - 1 else 0.5 * weights[n_steps]
-            acc += w * z
-        costs[start : start + width] = acc * step
+        ids = range(start, min(start + batch, n_paths))
+        acc = np.full(len(ids), w[0] * float(z0))
+        wz = np.empty(len(ids))
+        lanes = _steps(policy, coefficients, z0, step, n_steps, seed, ids, bridge)
+        for k, (z, _) in enumerate(lanes, 1):
+            np.multiply(z, w[k], out=wz)
+            acc += wz
+        costs[start : start + len(ids)] = acc * step
 
     mean = float(np.mean(costs))
     hw = float(Z95 * np.std(costs, ddof=1) / math.sqrt(n_paths))

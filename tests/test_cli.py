@@ -137,6 +137,8 @@ def test_sim_wcp_constant_mode(capsys):
     est = doc["estimate"]
     assert est["n_paths"] == 200
     assert abs(est["mean"] - 1.0) <= 0.15
+    assert doc["paths"] == 200
+    assert doc["path_steps"] == 200 * 2000
     code, _, err = run(
         capsys, "sim-wcp", "--instance", path_of("mm1"), "--policy", "static:7"
     )
@@ -258,6 +260,10 @@ def test_verify_bound_deterministic_report(capsys):
         (
             ("sim-qcp", "--n", "9", "--policy", "threshold", "--reps", "2", "--horizon", "1"),
             {"analyze", "hjb", "qcp", "scaled_checks"},
+        ),
+        (
+            ("sim-wcp", "--step", "1e-2", "--reps", "2", "--horizon", "1"),
+            {"analyze", "hjb", "wcp"},
         ),
     ],
 )

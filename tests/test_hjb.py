@@ -160,6 +160,24 @@ def test_two_activity_variant_switches_once(get_instance, get_analysis):
     )
 
 
+@pytest.mark.parametrize(
+    "coefficients, low_b_mode",
+    [
+        # Two modes tied on sigma2: the lower drift dominates.
+        (((0.1, 1.0), (-0.1, 1.0)), 1),
+        # A third mode with the lowest drift but more variance takes the far
+        # field, so policy iteration has to rank the two tied at z = 0.
+        (((0.1, 1.0), (-0.1, 1.0), (-0.5, 2.0)), 1),
+    ],
+)
+def test_sigma2_tie_at_zero_breaks_by_drift(coefficients, low_b_mode):
+    config = HjbConfig(grid_n=2000)
+    sol = solve_hjb(coefficients, 1.0, config)
+    dz = sol.grid[1]
+    assert sol.mode_at[0] == low_b_mode
+    assert all(z >= 2.0 * dz for z in sol.switch_points)
+
+
 def test_lower_bound_requires_assumptions(get_instance, get_analysis):
     sol = solve_hjb(((0.0, 1.0),), 1.0)
     with pytest.raises(ps.AssumptionError) as exc:

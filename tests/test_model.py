@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psslab as ps
 from conftest import load_named
@@ -39,6 +41,47 @@ def test_round_trip_all_instances():
     for name in ["example_a", "example_a2", "example_d", "example_e", "mm1"]:
         inst = load_named(name)
         assert ps.load_instance(ps.dump_instance(inst)) == inst
+
+
+reals = st.floats(allow_nan=False, allow_infinity=False)
+positive_reals = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+nonnegative_reals = st.floats(min_value=0.0, allow_infinity=False)
+rationals = st.fractions(min_value=0, max_denominator=10**12).filter(lambda v: v > 0)
+
+
+@st.composite
+def instances(draw):
+    ni = draw(st.integers(1, 3))
+    nk = draw(st.integers(1, 3))
+    grid = [(i, k) for i in range(1, ni + 1) for k in range(1, nk + 1)]
+    # Cover every class and every server, then add any further pairs.
+    pairs = {(i, 1 + (i - 1) % nk) for i in range(1, ni + 1)}
+    pairs |= {(1 + (k - 1) % ni, k) for k in range(1, nk + 1)}
+    pairs |= set(draw(st.lists(st.sampled_from(grid), max_size=len(grid))))
+    pairs = draw(st.permutations(sorted(pairs)))
+    nj = len(pairs)
+    return ps.PssInstance(
+        num_classes=ni,
+        num_servers=nk,
+        activities=tuple(ps.Activity(i, k) for i, k in pairs),
+        lam=tuple(draw(st.lists(rationals, min_size=ni, max_size=ni))),
+        hat_lambda=tuple(draw(st.lists(reals, min_size=ni, max_size=ni))),
+        c2_arrival=tuple(draw(st.lists(positive_reals, min_size=ni, max_size=ni))),
+        h=tuple(draw(st.lists(positive_reals, min_size=ni, max_size=ni))),
+        mu=tuple(draw(st.lists(rationals, min_size=nj, max_size=nj))),
+        hat_mu=tuple(draw(st.lists(reals, min_size=nj, max_size=nj))),
+        c2_service=tuple(draw(st.lists(nonnegative_reals, min_size=nj, max_size=nj))),
+        gamma=draw(positive_reals),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_dump_load_round_trip_random_instances(inst):
+    again = ps.load_instance(ps.dump_instance(inst))
+    assert again == inst
+    # Equality of floats conflates -0.0 and 0.0; the bytes do not.
+    assert ps.dump_instance(again) == ps.dump_instance(inst)
 
 
 def test_load_accepts_str_and_bytes():

@@ -1,15 +1,18 @@
 """Reflected diffusion simulation: reflection map, schemes, estimates."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from psslab import wcp
 from psslab.hjb import ModePolicy
 from psslab.wcp import (
     SamplePath1D,
-    _draw_noise,
-    _mode_coeff_arrays,
+    _path_streams,
     discounted_tail_bound,
     estimate_wcp_cost,
     simulate_wcp,
@@ -24,16 +27,17 @@ def test_reflection_map_worked_example():
     assert eta.tolist() == [0.0, 0.0, 1.0, 1.0, 2.0]
 
 
-def test_reflection_map_minimality():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        psi = np.cumsum(rng.standard_normal(300) * 0.3)
-        phi, eta = skorokhod_map(psi)
-        assert np.all(phi >= 0.0)
-        assert np.all(np.diff(eta) >= 0.0)
-        # The pushing process moves only while the path sits at zero.
-        grows = np.flatnonzero(np.diff(eta) > 0.0) + 1
-        assert np.all(phi[grows] == 0.0)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
+def test_reflection_map_minimality(values):
+    psi = np.array(values)
+    phi, eta = skorokhod_map(psi)
+    # The least nondecreasing eta >= 0 that keeps psi + eta >= 0.
+    assert np.array_equal(eta, np.maximum.accumulate(np.maximum(-psi, 0.0)))
+    assert np.all(phi >= 0.0)
+    # The pushing process moves only while the path sits at zero.
+    grows = np.flatnonzero(np.diff(eta, prepend=0.0) > 0.0)
+    assert np.all(phi[grows] == 0.0)
 
 
 def test_single_path_layout_and_policy_trace():
@@ -53,17 +57,19 @@ def test_single_path_layout_and_policy_trace():
 def test_plain_scheme_equals_reflected_free_path():
     # With the bridge correction off, the discrete path is exactly the
     # reflection map applied to the discrete free path.
-    coef = ((-0.2, 0.5),)
-    step, n = 1e-2, 400
+    # The path spans several noise chunks.
+    b, s2 = -0.2, 0.5
+    step, n = 1e-2, 1100
     path = simulate_wcp(
-        ModePolicy.constant(0), coef, 1.0, step, n * step, seed=9, path_id=4, bridge=False
+        ModePolicy.constant(0), ((b, s2),), 1.0, step, n * step, seed=9, path_id=4, bridge=False
     )
-    b_arr, s_arr = _mode_coeff_arrays(coef)
-    normals, _ = _draw_noise(9, 4, n, bridge=False)
+    gen, no_bridge = _path_streams(9, 4, bridge=False)
+    assert no_bridge is None
+    normals = gen.standard_normal(n)
     psi = np.empty(n + 1)
     psi[0] = 1.0
     for k in range(n):
-        psi[k + 1] = psi[k] + (b_arr[0] * step + s_arr[0] * math.sqrt(step) * normals[k])
+        psi[k + 1] = psi[k] + (b * step + math.sqrt(s2) * math.sqrt(step) * normals[k])
     phi, eta = skorokhod_map(psi)
     assert np.array_equal(path.values, phi)
     assert np.array_equal(path.local_time, eta)
@@ -104,12 +110,58 @@ def test_cost_estimate_matches_closed_form_value():
     assert est.truncation_bound <= 1e-3
 
 
-def test_cost_estimate_independent_of_batch_layout():
-    kw = dict(gamma=1.0, step=5e-3, horizon=2.0, n_paths=300, seed=12)
-    a = estimate_wcp_cost(ModePolicy.constant(0), ((0.1, 0.8),), **kw, batch=128)
-    b = estimate_wcp_cost(ModePolicy.constant(0), ((0.1, 0.8),), **kw, batch=512)
-    assert a.mean == b.mean
-    assert a.half_width_95 == b.half_width_95
+def test_cost_estimate_independent_of_batch_layout(monkeypatch):
+    # 250 steps: several chunks of 37 with a short last one, or one short chunk.
+    pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
+    coef = ((-0.1, 0.8), (0.1, 0.5))
+    kw = dict(gamma=1.0, step=1e-2, horizon=2.5, n_paths=300, seed=12)
+    ref = estimate_wcp_cost(pol, coef, **kw, batch=300)
+    for chunk in (37, wcp._CHUNK):
+        monkeypatch.setattr(wcp, "_CHUNK", chunk)
+        for batch in (1, 7, 300):
+            est = estimate_wcp_cost(pol, coef, **kw, batch=batch)
+            assert est.mean == ref.mean
+            assert est.half_width_95 == ref.half_width_95
+
+
+def test_recorded_path_is_the_estimates_lane():
+    pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
+    coef = ((-0.1, 0.8), (0.1, 0.5))
+    gamma, z0, step, horizon = 0.7, 0.2, 1e-2, 6.0
+    est = estimate_wcp_cost(pol, coef, gamma, z0, step, horizon, n_paths=2, seed=4)
+    n_steps = int(round(horizon / step))
+    assert n_steps > wcp._CHUNK
+    weights = np.exp(-gamma * step * np.arange(n_steps + 1))
+    weights[[0, -1]] *= 0.5
+    costs = [
+        step * weights @ simulate_wcp(pol, coef, z0, step, horizon, seed=4, path_id=p).values
+        for p in (0, 1)
+    ]
+    assert np.mean(costs) == pytest.approx(est.mean, rel=1e-13, abs=0.0)
+
+
+# sha256 of times, values, local_time and mode_trace of plain-scheme paths,
+# recorded before the chunked kernel: the normal streams are unchanged.
+PLAIN_PATH_SHA256 = {
+    (3, "threshold"): "cfa656c048c844164c30ea770da74e6f77f2ae347301e29e00a4043248a7d22b",
+    (3, "static:1"): "32ac18e731683a4afc03f9957ab82e4cbdb483c44ffb6a534a1ebb6071abf146",
+    (17, "threshold"): "5c819776d322b050854a82673f41000ae55102c18ca82bdd026392c310f5534e",
+    (17, "static:1"): "5c6df89bbb320994a647998054ac69905a21f89454c58e792f64c0c2ad6b11a5",
+}
+
+
+@pytest.mark.parametrize("seed, label", sorted(PLAIN_PATH_SHA256))
+def test_plain_scheme_paths_pinned(seed, label):
+    pol = {
+        "threshold": ModePolicy(thresholds=(0.5,), modes=(0, 1)),
+        "static:1": ModePolicy.constant(1),
+    }[label]
+    coef = ((-0.05, 0.3), (-0.15, 0.45))
+    path = simulate_wcp(pol, coef, 0.25, 1e-2, 13.0, seed=seed, path_id=5, bridge=False)
+    sha = hashlib.sha256()
+    for arr in (path.times, path.values, path.local_time, path.mode_trace):
+        sha.update(arr.tobytes())
+    assert sha.hexdigest() == PLAIN_PATH_SHA256[seed, label]
 
 
 def test_tail_bound_decreases_with_horizon():
