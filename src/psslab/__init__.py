@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .model import (
     Activity,
     InstanceError,
-    MatrixPair,
     PssInstance,
     build_matrices,
     dump_instance,
@@ -20,122 +19,53 @@ from .model import (
 )
 from .lp import (
     ActivityClass,
-    AnalysisError,
     AssumptionError,
-    AssumptionReport,
-    Decomposition,
-    DecompositionReport,
-    DualFace,
     DualSolution,
     LpAnalysis,
-    Mode,
     analyze,
-    check_decomposable,
-    classify_activities,
     enumerate_modes,
-    mode_coefficients,
     select_q,
     solve_dual,
     solve_primal,
-    validate_assumptions,
 )
-from .hjb import (
-    HjbConfig,
-    HjbConvergenceError,
-    HjbSolution,
-    ModePolicy,
-    SingleModeValue,
-    compute_v0,
-    dominant_mode,
-    extract_policy,
-    single_mode_value,
-    solve_hjb,
-)
-from .wcp import (
-    McEstimate,
-    SamplePath1D,
-    estimate_wcp_cost,
-    simulate_wcp,
-    skorokhod_map,
-)
+from .hjb import HjbConfig, compute_v0, extract_policy, solve_hjb
+from .wcp import estimate_wcp_cost, simulate_wcp
 from .qcp import (
-    BoundReport,
-    BoundRun,
-    DistributionSpec,
-    MinimumNError,
     PolicySpec,
-    QcpTrace,
-    ScaledSeries,
-    SimulatorInvariantError,
-    TraceChecks,
     check_trace_inequalities,
     compute_scaled,
-    estimate_qcp_cost,
     identity_residual_exact,
-    policy_allocation,
     run_qcp,
     verify_lower_bound,
 )
-from .cli import main
 
 __all__ = [
     "__version__",
     "Activity",
     "InstanceError",
-    "MatrixPair",
     "PssInstance",
     "build_matrices",
     "dump_instance",
     "load_instance",
     "ActivityClass",
-    "AnalysisError",
     "AssumptionError",
-    "AssumptionReport",
-    "Decomposition",
-    "DecompositionReport",
-    "DualFace",
     "DualSolution",
     "LpAnalysis",
-    "Mode",
     "analyze",
-    "check_decomposable",
-    "classify_activities",
     "enumerate_modes",
-    "mode_coefficients",
     "select_q",
     "solve_dual",
     "solve_primal",
-    "validate_assumptions",
     "HjbConfig",
-    "HjbConvergenceError",
-    "HjbSolution",
-    "ModePolicy",
-    "SingleModeValue",
     "compute_v0",
-    "dominant_mode",
     "extract_policy",
-    "single_mode_value",
     "solve_hjb",
-    "McEstimate",
-    "SamplePath1D",
     "estimate_wcp_cost",
     "simulate_wcp",
-    "skorokhod_map",
-    "BoundReport",
-    "BoundRun",
-    "DistributionSpec",
-    "MinimumNError",
     "PolicySpec",
-    "QcpTrace",
-    "ScaledSeries",
-    "SimulatorInvariantError",
-    "TraceChecks",
     "check_trace_inequalities",
     "compute_scaled",
-    "estimate_qcp_cost",
     "identity_residual_exact",
-    "policy_allocation",
     "run_qcp",
     "verify_lower_bound",
-    "main",
 ]

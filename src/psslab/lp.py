@@ -82,19 +82,15 @@ class DualSolution:
 
 @dataclass(frozen=True)
 class DualFace:
-    """Coordinate ranges of the dual optimal face.
-
-    ``ranges`` holds (min, max) for the coordinates y_1..y_I, z_1..z_K in
-    that order. When all ranges are degenerate the face is the single
-    point ``point``; otherwise ``witnesses`` carries two distinct dual
-    optima, the minimizer and maximizer of the first non-unique
-    coordinate.
+    """The dual optimal face: the single point ``point`` when it is
+    unique; otherwise ``witnesses`` carries two distinct dual optima, the
+    minimizer and maximizer of the first coordinate of y_1..y_I,
+    z_1..z_K that the face does not fix.
     """
 
     unique: bool
     point: DualSolution | None
     witnesses: tuple[DualSolution, DualSolution] | None
-    ranges: tuple[tuple[Fraction, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -193,11 +189,7 @@ def _dual_constraints(inst: PssInstance) -> tuple[list, list, list, list]:
     return a_eq, b_eq, a_ub, b_ub
 
 
-def solve_dual(
-    inst: PssInstance,
-    rho_star: Fraction | None = None,
-    modes: tuple[Mode, ...] | None = None,
-) -> DualFace:
+def solve_dual(inst: PssInstance, rho_star: Fraction, modes: tuple[Mode, ...]) -> DualFace:
     """Describe the dual optimal face exactly, given the modes.
 
     Every dual optimum is complementary to every optimal allocation:
@@ -210,10 +202,6 @@ def solve_dual(
     a lower rank runs the coordinate scan of the face, whose extremes are
     the reported witnesses.
     """
-    if rho_star is None:
-        rho_star, _ = solve_primal(inst)
-    if modes is None:
-        modes = enumerate_modes(inst, rho_star=rho_star)
     ni, nk = inst.num_classes, inst.num_servers
     n = ni + nk
     used = _used_activities(modes)
@@ -249,7 +237,7 @@ def solve_dual(
         raise AnalysisError("complementary slackness point is not dual feasible")
     if sum((y * lam for y, lam in zip(point.y, inst.lam)), ZERO) != rho_star:
         raise AnalysisError("dual optimum does not match the primal optimum")
-    return DualFace(unique=True, point=point, witnesses=None, ranges=tuple((v, v) for v in flat))
+    return DualFace(unique=True, point=point, witnesses=None)
 
 
 def _scan_dual_face(inst: PssInstance, rho_star: Fraction) -> DualFace:
@@ -293,7 +281,7 @@ def _scan_dual_face(inst: PssInstance, rho_star: Fraction) -> DualFace:
     if unique:
         flat = [r[0] for r in ranges]
         point = DualSolution(y=tuple(flat[:ni]), z=tuple(flat[ni:]))
-    return DualFace(unique=unique, point=point, witnesses=witnesses, ranges=tuple(ranges))
+    return DualFace(unique=unique, point=point, witnesses=witnesses)
 
 
 def _used_activities(modes: tuple[Mode, ...]) -> set[int]:
@@ -309,9 +297,7 @@ def _server_loads(inst: PssInstance, xi: tuple[Fraction, ...]) -> list[Fraction]
     return loads
 
 
-def enumerate_modes(
-    inst: PssInstance, rho_star: Fraction = ONE, mats: MatrixPair | None = None
-) -> tuple[Mode, ...]:
+def enumerate_modes(inst: PssInstance, rho_star: Fraction) -> tuple[Mode, ...]:
     """Extreme points of {xi >= 0 : R xi = lambda, G xi <= rho* 1}.
 
     Enumerated exactly by a pivot walk over the feasible bases of the
@@ -322,8 +308,7 @@ def enumerate_modes(
     I + K - 1 activities, i.e. a basic variable vanishes once all server
     constraints bind.
     """
-    if mats is None:
-        mats = build_matrices(inst)
+    mats = build_matrices(inst)
     ni, nk, nj = inst.num_classes, inst.num_servers, inst.num_activities
     a = [list(row) + [ZERO] * nk for row in mats.r]
     a += [list(row) + [ONE if s == k else ZERO for s in range(nk)] for k, row in enumerate(mats.g)]
@@ -360,7 +345,7 @@ def _verify_vertex(
 def classify_activities(
     inst: PssInstance,
     dual: DualSolution,
-    modes: tuple[Mode, ...] | None = None,
+    modes: tuple[Mode, ...],
 ) -> tuple[ActivityClass, ...]:
     """Split activities by the exact dual comparison y*_i mu_j vs z*_k.
 
@@ -377,8 +362,6 @@ def classify_activities(
         out.append(
             ActivityClass.POTENTIALLY_BASIC if lhs == rhs else ActivityClass.ALWAYS_NONBASIC
         )
-    if modes is None:
-        modes = enumerate_modes(inst)
     used = _used_activities(modes)
     claimed = {j for j, c in enumerate(out) if c is ActivityClass.POTENTIALLY_BASIC}
     if used != claimed:

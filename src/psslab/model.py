@@ -26,6 +26,7 @@ strings and survive a save/load round trip exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,7 +176,13 @@ def _parse_rational(value: object, path: str) -> Fraction:
 def _parse_real(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an integer beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise InstanceError(f"{path}: must be finite, got {real}")
+    return real
 
 
 def _require(obj: dict, key: str, path: str) -> object:
@@ -189,11 +196,11 @@ def load_instance(document: bytes | str) -> PssInstance:
 
     Raises InstanceError with the offending field path on malformed input.
     """
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
     try:
+        if isinstance(document, bytes):
+            document = document.decode("utf-8")
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and integers over 4300 digits
         raise InstanceError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceError("top level: expected a JSON object")

@@ -61,42 +61,26 @@ class MinimumNError(ValueError):
         self.min_n = min_n
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """Renewal interarrival family: mean-1 gamma with the given squared
-    coefficient of variation, or deterministic (scv 0, services only)."""
-
-    family: str
-    scv: float
-
-    @classmethod
-    def for_scv(cls, scv: float) -> "DistributionSpec":
-        if scv < 0:
-            raise ValueError("scv must be nonnegative")
-        return cls(family="deterministic" if scv == 0 else "gamma", scv=scv)
-
-
 class RenewalSource:
-    """Stream of interarrival increments with mean 1/rate and the given
-    distribution's squared coefficient of variation; draws are buffered."""
+    """Stream of interarrival increments with mean 1/rate and squared
+    coefficient of variation scv: gamma draws from rng, buffered, or the
+    constant 1/rate when scv is 0."""
 
     __slots__ = ("_rng", "_shape", "_scale", "_det", "_buf", "_pos")
 
-    def __init__(self, spec: DistributionSpec, rate: float, rng: np.random.Generator):
+    def __init__(self, scv: float, rate: float, rng: np.random.Generator):
+        if scv < 0:
+            raise ValueError("scv must be nonnegative")
         if rate <= 0:
             raise ValueError("rate must be positive")
-        if spec.family == "deterministic":
+        if scv == 0:
             self._det = 1.0 / rate
             self._rng = None
-        elif spec.family == "gamma":
-            if spec.scv <= 0:
-                raise ValueError("gamma renewal needs scv > 0")
+        else:
             self._det = None
             self._rng = rng
-            self._shape = 1.0 / spec.scv
-            self._scale = spec.scv / rate
-        else:
-            raise ValueError(f"unknown renewal family {spec.family!r}")
+            self._shape = 1.0 / scv
+            self._scale = scv / rate
         self._buf = None
         self._pos = 0
 
@@ -112,37 +96,28 @@ class RenewalSource:
         return v
 
 
-def make_renewal_source(spec: DistributionSpec, rate: float, seed) -> RenewalSource:
-    """Build a source from a seed (int or SeedSequence) or Generator."""
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return RenewalSource(spec, rate, rng)
-
-
 @dataclass(frozen=True)
 class PolicySpec:
     """Allocation rule for the prelimit system.
 
-    kind "static": always project mode ``mode``; "threshold": pick the
-    mode by the scaled workload through ``policy``; "priority": each
-    server serves its first backlogged activity in ``priorities[k]`` at
-    full rate. For static/threshold kinds the mode's effort is masked to
-    backlogged classes; with work_conserving=True each server spreads its
-    masked-off effort over its backlogged activities in proportion to the
-    mode (evenly when the mode puts no weight on them).
+    kind "static": always project one mode, held as the constant
+    ModePolicy ``policy``; "threshold": pick the mode by the scaled
+    workload through ``policy``; "priority": each server serves its first
+    backlogged activity in ``priorities[k]`` at full rate. For
+    static/threshold kinds the mode's effort is masked to backlogged
+    classes; with work_conserving=True each server spreads its masked-off
+    effort over its backlogged activities in proportion to the mode
+    (evenly when the mode puts no weight on them).
     """
 
     kind: str
-    mode: int | None = None
     policy: ModePolicy | None = None
     priorities: tuple[tuple[int, ...], ...] | None = None
     work_conserving: bool = False
 
     @classmethod
     def static_mode(cls, mode: int, work_conserving: bool = False) -> "PolicySpec":
-        return cls(kind="static", mode=mode, work_conserving=work_conserving)
+        return cls(kind="static", policy=ModePolicy.constant(mode), work_conserving=work_conserving)
 
     @classmethod
     def workload_threshold(cls, policy: ModePolicy, work_conserving: bool = False) -> "PolicySpec":
@@ -155,7 +130,7 @@ class PolicySpec:
     @property
     def label(self) -> str:
         if self.kind == "static":
-            return f"static:{self.mode}" + (":wc" if self.work_conserving else "")
+            return f"static:{self.policy.modes[0]}" + (":wc" if self.work_conserving else "")
         if self.kind == "threshold":
             return "threshold" + (":wc" if self.work_conserving else "")
         return "priority"
@@ -238,11 +213,11 @@ class _Context:
 
     __slots__ = (
         "ni", "nk", "nj", "cls_of", "server_acts", "mode_xi",
-        "mode_budget", "kind", "static_mode", "threshold", "priorities",
-        "work_conserving", "y", "h", "inv_sqrt_n", "tables",
+        "mode_budget", "kind", "policy", "priorities",
+        "work_conserving", "y", "h", "tables",
     )
 
-    def __init__(self, analysis: LpAnalysis, policy: PolicySpec, n: int):
+    def __init__(self, analysis: LpAnalysis, policy: PolicySpec):
         inst = analysis.instance
         self.ni = inst.num_classes
         self.nk = inst.num_servers
@@ -254,24 +229,21 @@ class _Context:
             [sum(xi[j] for j in acts) for acts in self.server_acts] for xi in self.mode_xi
         ]
         self.kind = policy.kind
-        self.static_mode = policy.mode
-        self.threshold = policy.policy
+        self.policy = policy.policy
         self.priorities = policy.priorities
         self.work_conserving = policy.work_conserving
         self.y = None if analysis.dual is None else [float(v) for v in analysis.dual.y]
         self.h = list(inst.h)
-        self.inv_sqrt_n = 1.0 / math.sqrt(n)
         self.tables = [{} for _ in range(max(1, len(self.mode_xi)))]
-        if self.kind == "static":
-            if policy.mode is None or not 0 <= policy.mode < len(self.mode_xi):
-                raise ValueError(f"static policy needs a mode index in 0..{len(self.mode_xi) - 1}")
-        elif self.kind == "threshold":
+        if self.kind in ("static", "threshold"):
             if policy.policy is None:
-                raise ValueError("threshold policy needs a ModePolicy")
-            if self.y is None:
+                raise ValueError(f"{self.kind} policy needs a ModePolicy")
+            if self.kind == "threshold" and self.y is None:
                 raise ValueError("threshold policy needs the unique dual point")
-            if any(m < 0 or m >= len(self.mode_xi) for m in policy.policy.modes):
-                raise ValueError("threshold policy references a mode outside the mode list")
+            if any(not 0 <= m < len(self.mode_xi) for m in policy.policy.modes):
+                raise ValueError(
+                    f"{self.kind} policy needs mode indices in 0..{len(self.mode_xi) - 1}"
+                )
         elif self.kind == "priority":
             if policy.priorities is None or len(policy.priorities) != self.nk:
                 raise ValueError("priority policy needs one activity order per server")
@@ -285,7 +257,7 @@ class _Context:
 
     def mode_at(self, w_hat: float) -> int:
         """Mode index in force at scaled workload w_hat (0 for priority)."""
-        return self.threshold(w_hat) if self.kind == "threshold" else self.static_mode or 0
+        return 0 if self.policy is None else self.policy(w_hat)
 
     def cached_allocation(self, x: list[int], mask: int, m: int):
         """(allocation, activities with positive effort) under mode m at a
@@ -338,11 +310,11 @@ class _Context:
 
 
 def policy_allocation(
-    policy: PolicySpec, x, w_hat: float, analysis: LpAnalysis, n: int = 1
+    policy: PolicySpec, x, w_hat: float, analysis: LpAnalysis
 ) -> tuple[float, ...]:
     """Allocation used at state (x, w_hat); admissible by construction:
     effort only on backlogged classes, per-server totals at most 1."""
-    ctx = _Context(analysis, policy, n)
+    ctx = _Context(analysis, policy)
     out = [0.0] * ctx.nj
     ctx.fill_allocation(list(x), ctx.mode_at(w_hat), out)
     return tuple(out)
@@ -361,7 +333,7 @@ def _simulate(
     """Core event loop. Returns (flat event rows or None, discounted cost,
     H at horizon)."""
     lam_n, mu_n = effective_rates(inst, n)
-    ctx = _Context(analysis, policy, n)
+    ctx = _Context(analysis, policy)
     ni, nj = ctx.ni, ctx.nj
     gamma = inst.gamma
 
@@ -369,14 +341,8 @@ def _simulate(
         seq = np.random.SeedSequence(seed, spawn_key=(rep, kind, idx))
         return np.random.Generator(np.random.Philox(seq))
 
-    arr_next = [
-        RenewalSource(DistributionSpec.for_scv(inst.c2_arrival[i]), lam_n[i], rng_for(0, i)).next
-        for i in range(ni)
-    ]
-    svc_next = [
-        RenewalSource(DistributionSpec.for_scv(inst.c2_service[j]), mu_n[j], rng_for(1, j)).next
-        for j in range(nj)
-    ]
+    arr_next = [RenewalSource(inst.c2_arrival[i], lam_n[i], rng_for(0, i)).next for i in range(ni)]
+    svc_next = [RenewalSource(inst.c2_service[j], mu_n[j], rng_for(1, j)).next for j in range(nj)]
 
     t = 0.0
     x = [0] * ni
@@ -387,8 +353,9 @@ def _simulate(
     thresh = [draw() for draw in svc_next]
     # W and H are sum(map(mul, ., x)) * inv_sqrt_n; only threshold policies
     # read W, and the allocation changes only with the backlog mask or mode.
-    y, h, inv_sqrt_n, tables = ctx.y, ctx.h, ctx.inv_sqrt_n, ctx.tables
-    threshold = ctx.threshold if ctx.kind == "threshold" else None
+    y, h, tables = ctx.y, ctx.h, ctx.tables
+    inv_sqrt_n = 1.0 / math.sqrt(n)
+    threshold = ctx.policy if ctx.kind == "threshold" else None
     m, mask = ctx.mode_at(0.0), 0
     xi, active = ctx.cached_allocation(x, mask, m)
 
@@ -617,21 +584,19 @@ def estimate_qcp_cost(
     n_reps: int,
     horizon: float | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> McEstimate:
     """Monte Carlo discounted holding cost of the scaled state.
 
     The per-replication integral of exp(-gamma t) h.Xhat is evaluated
     exactly between events. Replication r draws from streams keyed by
-    (seed, r), so estimates do not depend on scheduling; PSS_THREADS (or
-    the threads argument) enables a process pool over replications.
+    (seed, r), so estimates do not depend on scheduling; PSS_THREADS
+    enables a process pool over replications.
     """
     if n_reps < 2:
         raise ValueError("n_reps must be at least 2")
     if horizon is None:
         horizon = 12.0 / inst.gamma
-    if threads is None:
-        threads = int(os.environ.get("PSS_THREADS", "1"))
+    threads = int(os.environ.get("PSS_THREADS", "1"))
     tasks = [(inst, analysis, n, policy, horizon, seed, rep) for rep in range(n_reps)]
     if threads > 1:
         # Imported only when used: the process pool machinery adds about
@@ -687,7 +652,6 @@ def verify_lower_bound(
     n_reps: int,
     horizon: float | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> BoundReport:
     """Compare simulated costs at each (n, policy) against the bound v0."""
     if not analysis.assumptions.all_pass:
@@ -699,9 +663,7 @@ def verify_lower_bound(
     runs = []
     for n in n_list:
         for policy in policies:
-            est = estimate_qcp_cost(
-                inst, analysis, n, policy, n_reps, horizon=horizon, seed=seed, threads=threads
-            )
+            est = estimate_qcp_cost(inst, analysis, n, policy, n_reps, horizon=horizon, seed=seed)
             margin = est.mean - v0
             runs.append(
                 BoundRun(

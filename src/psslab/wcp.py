@@ -82,6 +82,15 @@ def skorokhod_map(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _CHUNK = 512  # time steps of noise drawn per path at a time
+_BATCH = 2048  # paths advanced together by estimate_wcp_cost
+
+
+def _n_steps(step: float, horizon: float) -> int:
+    """Number of Euler steps of a run, after checking 0 < step <= horizon
+    with horizon finite."""
+    if not (0 < step <= horizon and math.isfinite(horizon)):
+        raise ValueError("need 0 < step <= horizon, horizon finite")
+    return int(round(horizon / step))
 
 
 def _path_streams(seed: int, path_id: int, bridge: bool):
@@ -159,9 +168,7 @@ def simulate_wcp(
     path_id of the batch that estimate_wcp_cost runs."""
     if z0 < 0:
         raise ValueError("z0 must be nonnegative")
-    if step <= 0 or horizon < step:
-        raise ValueError("need 0 < step <= horizon")
-    n_steps = int(round(horizon / step))
+    n_steps = _n_steps(step, horizon)
     values = np.empty(n_steps + 1)
     local = np.zeros(n_steps + 1)
     values[0] = z0
@@ -201,13 +208,13 @@ def estimate_wcp_cost(
     n_paths: int = 10_000,
     seed: int = 0,
     bridge: bool = True,
-    batch: int = 2048,
 ) -> McEstimate:
     """Monte Carlo mean of the discounted area under the controlled path.
 
     Per-path costs are the trapezoid rule on the simulation grid with
     weights exp(-gamma t); the 95% half width is the normal interval over
-    paths. Costs depend only on (seed, path_id), never on batch layout.
+    paths. Paths run _BATCH at a time; costs depend only on (seed,
+    path_id), never on that layout.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -215,15 +222,15 @@ def estimate_wcp_cost(
         raise ValueError("gamma must be positive")
     if horizon is None:
         horizon = 12.0 / gamma
-    n_steps = int(round(horizon / step))
+    n_steps = _n_steps(step, horizon)
     # Trapezoid weights exp(-gamma t_k), with the end weights halved.
     weights = np.exp(-gamma * step * np.arange(n_steps + 1))
     weights[[0, -1]] *= 0.5
     w = weights.tolist()
     costs = np.empty(n_paths)
 
-    for start in range(0, n_paths, batch):
-        ids = range(start, min(start + batch, n_paths))
+    for start in range(0, n_paths, _BATCH):
+        ids = range(start, min(start + _BATCH, n_paths))
         acc = np.full(len(ids), w[0] * float(z0))
         wz = np.empty(len(ids))
         lanes = _steps(policy, coefficients, z0, step, n_steps, seed, ids, bridge)

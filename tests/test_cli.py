@@ -77,6 +77,11 @@ def test_unreadable_inputs(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(capsys, "analyze", "--instance", str(bad))
     assert code == 10 and "instance error" in err
+    doc = json.loads((INSTANCES / "mm1.json").read_text())
+    doc["classes"][0]["hat_lambda"] = float("nan")
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "analyze", "--instance", str(bad))
+    assert code == 10 and "must be finite" in err
 
 
 def test_solve_hjb_report_and_trace(capsys, tmp_path):

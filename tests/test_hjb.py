@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import psslab as ps
+from psslab import hjb
 from psslab.hjb import (
     HjbConfig,
     HjbConvergenceError,
@@ -121,9 +122,10 @@ def test_policy_iteration_improves_on_fixed_modes():
     assert sol.mode_at[0] == 0 and sol.mode_at[-1] == 1
 
 
-def test_policy_iteration_limit_raises():
+def test_policy_iteration_limit_raises(monkeypatch):
+    monkeypatch.setattr(hjb, "_MAX_ITERATIONS", 0)
     with pytest.raises(HjbConvergenceError):
-        solve_hjb(((0.0, 2.0), (-0.1, 3.0)), 1.0, HjbConfig(max_iterations=0))
+        solve_hjb(((0.0, 2.0), (-0.1, 3.0)), 1.0)
 
 
 def test_mode_policy_validation_and_lookup():

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -118,8 +119,11 @@ def test_missing_field_names_path():
 
 
 def test_invalid_json():
-    with pytest.raises(ps.InstanceError, match="invalid JSON"):
-        ps.load_instance(b"{not json")
+    # Bad UTF-8 and an integer beyond Python's 4300-digit parsing limit
+    # fail inside json.loads too.
+    for document in (b"{not json", b"\xff{}", '{"servers": 1' + "0" * 5000 + "}"):
+        with pytest.raises(ps.InstanceError, match="invalid JSON"):
+            ps.load_instance(document)
 
 
 def test_index_out_of_range():
@@ -156,6 +160,30 @@ def test_nonpositive_values_rejected():
     doc = doc_mm1()
     doc["gamma"] = -1.0
     with pytest.raises(ps.InstanceError, match="gamma"):
+        ps.load_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+@pytest.mark.parametrize(
+    "owner, field",
+    [
+        ("classes", "hat_lambda"),
+        ("classes", "c2_a"),
+        ("classes", "h"),
+        ("activities", "hat_mu"),
+        ("activities", "c2_s"),
+        (None, "gamma"),
+    ],
+)
+def test_non_finite_reals_rejected(owner, field, value):
+    doc = doc_mm1()
+    if owner is None:
+        doc[field] = value
+        path = rf"\$\.{field}"
+    else:
+        doc[owner][0][field] = value
+        path = rf"{owner}\[0\]\.{field}"
+    with pytest.raises(ps.InstanceError, match=path + ": must be finite"):
         ps.load_instance(json.dumps(doc))
 
 

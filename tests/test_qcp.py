@@ -12,17 +12,16 @@ from hypothesis import strategies as st
 import psslab as ps
 from psslab.hjb import ModePolicy
 from psslab.qcp import (
-    DistributionSpec,
     _Context,
     MinimumNError,
     PolicySpec,
+    RenewalSource,
     _simulate,
     check_trace_inequalities,
     compute_scaled,
     effective_rates,
     estimate_qcp_cost,
     identity_residual_exact,
-    make_renewal_source,
     policy_allocation,
     run_qcp,
     verify_lower_bound,
@@ -55,26 +54,33 @@ def test_minimum_n_reported():
     assert mu_n[0] > 0.0
 
 
+def philox(key) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
 def test_renewal_sources():
-    det = make_renewal_source(DistributionSpec.for_scv(0.0), 4.0, (0, (0, 0, 0)))
+    key = (0, (0, 0, 0))
+    det = RenewalSource(0.0, 4.0, philox(key))
     assert [det.next() for _ in range(3)] == [0.25, 0.25, 0.25]
-    gam = make_renewal_source(DistributionSpec.for_scv(0.5), 2.0, (0, (0, 0, 0)))
+    gam = RenewalSource(0.5, 2.0, philox(key))
     draws = np.array([gam.next() for _ in range(4000)])
     assert np.all(draws > 0.0)
     assert np.mean(draws) == pytest.approx(0.5, abs=0.03)
     assert np.var(draws) == pytest.approx(0.5 * 0.25, rel=0.2)
+    with pytest.raises(ValueError, match="scv"):
+        RenewalSource(-0.5, 2.0, philox(key))
 
 
 def test_renewal_stream_across_buffer_refill():
-    spec = DistributionSpec.for_scv(0.5)
+    scv = 0.5
     key = (9, 1, 4)
-    src = make_renewal_source(spec, 3.0, key)
+    src = RenewalSource(scv, 3.0, philox(key))
     draws = [src.next() for _ in range(1100)]
     assert all(type(v) is float for v in draws)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-    blocks = [rng.gamma(1.0 / spec.scv, spec.scv / 3.0, 512) for _ in range(3)]
+    rng = philox(key)
+    blocks = [rng.gamma(1.0 / scv, scv / 3.0, 512) for _ in range(3)]
     assert draws == np.concatenate(blocks)[:1100].tolist()
-    det = make_renewal_source(DistributionSpec.for_scv(0.0), 4.0, key)
+    det = RenewalSource(0.0, 4.0, philox(key))
     assert type(det.next()) is float
 
 
@@ -117,7 +123,7 @@ def test_allocation_admissible_and_cache_exact(get_instance, get_analysis, data)
     # The kernel looks allocations up by (backlog mask, mode). Fill the
     # cache from the empty state and from another state with x's key,
     # then read it at x.
-    ctx = _Context(an, policy, 1)
+    ctx = _Context(an, policy)
     mask = sum(1 << i for i, v in enumerate(x) if v >= 1)
     m = ctx.mode_at(w_hat)
     ctx.cached_allocation([0] * len(x), 0, m)
@@ -278,14 +284,16 @@ def test_trace_reproducible_across_calls(get_instance, get_analysis):
     assert not np.array_equal(t1.times, t3.times)
 
 
-def test_cost_estimate_reproducible_and_thread_invariant(get_instance, get_analysis):
+def test_cost_estimate_reproducible_and_thread_invariant(get_instance, get_analysis, monkeypatch):
+    monkeypatch.delenv("PSS_THREADS", raising=False)
     inst = get_instance("mm1")
     an = get_analysis("mm1")
     pol = PolicySpec.static_mode(0)
     a = estimate_qcp_cost(inst, an, n=25, policy=pol, n_reps=6, horizon=3.0, seed=4)
     b = estimate_qcp_cost(inst, an, n=25, policy=pol, n_reps=6, horizon=3.0, seed=4)
     assert a.mean == b.mean and a.half_width_95 == b.half_width_95
-    c = estimate_qcp_cost(inst, an, n=25, policy=pol, n_reps=6, horizon=3.0, seed=4, threads=2)
+    monkeypatch.setenv("PSS_THREADS", "2")
+    c = estimate_qcp_cost(inst, an, n=25, policy=pol, n_reps=6, horizon=3.0, seed=4)
     assert c.mean == a.mean and c.half_width_95 == a.half_width_95
     with pytest.raises(ValueError):
         estimate_qcp_cost(inst, an, n=25, policy=pol, n_reps=1, seed=4)

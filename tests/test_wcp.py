@@ -115,11 +115,13 @@ def test_cost_estimate_independent_of_batch_layout(monkeypatch):
     pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
     coef = ((-0.1, 0.8), (0.1, 0.5))
     kw = dict(gamma=1.0, step=1e-2, horizon=2.5, n_paths=300, seed=12)
-    ref = estimate_wcp_cost(pol, coef, **kw, batch=300)
+    monkeypatch.setattr(wcp, "_BATCH", 300)
+    ref = estimate_wcp_cost(pol, coef, **kw)
     for chunk in (37, wcp._CHUNK):
         monkeypatch.setattr(wcp, "_CHUNK", chunk)
         for batch in (1, 7, 300):
-            est = estimate_wcp_cost(pol, coef, **kw, batch=batch)
+            monkeypatch.setattr(wcp, "_BATCH", batch)
+            est = estimate_wcp_cost(pol, coef, **kw)
             assert est.mean == ref.mean
             assert est.half_width_95 == ref.half_width_95
 
@@ -183,6 +185,19 @@ def test_input_validation():
         estimate_wcp_cost(pol, coef, gamma=1.0, n_paths=1)
     with pytest.raises(ValueError):
         estimate_wcp_cost(pol, coef, gamma=0.0)
+
+
+@pytest.mark.parametrize(
+    "step, horizon",
+    [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1e-2, 1e-3), (1e-2, math.inf)],
+)
+def test_step_and_horizon_checked_by_both_entry_points(step, horizon):
+    pol = ModePolicy.constant(0)
+    coef = ((0.0, 1.0),)
+    with pytest.raises(ValueError, match="need 0 < step <= horizon"):
+        estimate_wcp_cost(pol, coef, gamma=1.0, step=step, horizon=horizon, n_paths=2)
+    with pytest.raises(ValueError, match="need 0 < step <= horizon"):
+        simulate_wcp(pol, coef, 0.0, step, horizon, seed=0)
 
 
 def test_path_container_rejects_bad_series():
