@@ -20,6 +20,17 @@ The nonlinear min is resolved by Howard policy iteration: solve the
 linear system of the current mode field, reselect the pointwise argmin,
 repeat. When one mode minimizes both b and sigma2 it is optimal
 everywhere and the solve reduces to a single linear system.
+
+Linear solve: the unknown is the bounded w = u - z/gamma, whose second
+differences lose less to rounding than those of u. Interior rows keep
+their stencils with right-hand side -b_m/gamma; the boundary rows
+w'(0) = -1/gamma and w'(z_max) = 0 give w_0 and w_n from two inner
+neighbours, and substituted into rows 1 and n - 1 leave a tridiagonal
+system. Its other rows are diagonally dominant by gamma, so cyclic
+reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7(4), 1970)
+solves them without pivoting in log2(n) vectorised passes. Rows 1 and
+n - 1 lose dominance under strong drift towards their wall and are
+matched by a 2 x 2 solve instead (see ``_solve_linear``).
 """
 
 from __future__ import annotations
@@ -137,7 +148,8 @@ class HjbSolution:
 
 
 def _stencils(coefficients: Coefficients, dz: float, gamma: float):
-    """Per-mode tridiagonal row (lower, diag, upper) for the interior."""
+    """Per-mode tridiagonal row (lower, diag, upper) for the interior and
+    its right-hand side -b/gamma in the unknown w = u - z/gamma."""
     rows = []
     for b, s2 in coefficients:
         diff = s2 / (2.0 * dz * dz)
@@ -153,7 +165,7 @@ def _stencils(coefficients: Coefficients, dz: float, gamma: float):
             lo = diff - b / dz
             hi = diff
             di = -2.0 * diff + b / dz - gamma
-        rows.append((lo, di, hi))
+        rows.append((lo, di, hi, -b / gamma))
     return rows
 
 
@@ -172,19 +184,20 @@ def _derivatives(u: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
     return du, d2u
 
 
-def _hamiltonians(u: np.ndarray, coefficients: Coefficients, dz: float) -> np.ndarray:
-    """H_m = b_m u' + sigma2_m/2 u'' at every grid point, per mode.
+def _hamiltonians(w: np.ndarray, coefficients: Coefficients, dz: float, gamma: float) -> np.ndarray:
+    """H_m = b_m u' + sigma2_m/2 u'' per grid point and mode, from u' = w' + 1/gamma, u'' = w''.
 
     Uses each mode's own advection stencil so the argmin is consistent
     with the assembled linear systems. At z = 0 the imposed u'(0) = 0
     removes the drift term; at z_max the far field slope is used.
     """
-    n = len(u) - 1
-    du_c, d2 = _derivatives(u, dz)
-    du_f = np.empty_like(u)
-    du_f[1:n] = (u[2:] - u[1:n]) / dz
-    du_b = np.empty_like(u)
-    du_b[1:n] = (u[1:n] - u[: n - 1]) / dz
+    n = len(w) - 1
+    du_c, d2 = _derivatives(w, dz)
+    du_c += 1.0 / gamma
+    du_f = np.empty_like(w)
+    du_f[1:n] = (w[2:] - w[1:n]) / dz + 1.0 / gamma
+    du_b = np.empty_like(w)
+    du_b[1:n] = (w[1:n] - w[: n - 1]) / dz + 1.0 / gamma
 
     out = np.empty((len(coefficients), n + 1))
     for m, (b, s2) in enumerate(coefficients):
@@ -210,39 +223,54 @@ def _minimizing_modes(ham: np.ndarray, coefficients: Coefficients) -> np.ndarray
     return mode_at
 
 
-def _solve_linear(
-    mode_at: np.ndarray,
-    stencils,
-    grid: np.ndarray,
-    dz: float,
-    gamma: float,
-) -> np.ndarray:
-    # Imported here, not at module load: scipy.linalg adds about 27 MB of
-    # RSS and 0.45 s to every process that imports psslab, even one that
-    # only runs analyze.
-    from scipy.linalg import solve_banded
+def _cyclic_reduction(lo, di, hi, rhs) -> np.ndarray:
+    """Solve lo[i] x[i-1] + di[i] x[i] + hi[i] x[i+1] = rhs[..., i] for
+    diagonally dominant rows, lo[0] = hi[-1] = 0 and len(di) = 2^k - 1."""
+    if len(di) == 1:
+        return rhs / di
+    f = lo[1::2] / di[:-1:2]
+    g = hi[1::2] / di[2::2]
+    odd = _cyclic_reduction(-f * lo[:-1:2], di[1::2] - f * hi[:-1:2] - g * lo[2::2], -g * hi[2::2],
+                            rhs[..., 1::2] - f * rhs[..., :-1:2] - g * rhs[..., 2::2])
+    x = np.zeros(rhs.shape[:-1] + (len(di) + 2,))  # x[..., i + 1] is unknown i
+    x[..., 2:-1:2] = odd
+    x[..., 1:-1:2] = (rhs[..., ::2] - lo[::2] * x[..., :-2:2] - hi[::2] * x[..., 2::2]) / di[::2]
+    return x[..., 1:-1]
 
-    n = len(grid) - 1
-    lo = np.array([stencils[m][0] for m in range(len(stencils))])[mode_at]
-    di = np.array([stencils[m][1] for m in range(len(stencils))])[mode_at]
-    hi = np.array([stencils[m][2] for m in range(len(stencils))])[mode_at]
 
-    ab = np.zeros((5, n + 1))
-    ab[1, 2 : n + 1] = hi[1:n]  # A[i, i+1]
-    ab[2, 1:n] = di[1:n]  # A[i, i]
-    ab[3, 0 : n - 1] = lo[1:n]  # A[i, i-1]
-    rhs = -grid.copy()
+def _solve_linear(mode_at: np.ndarray, stencils, dz: float, gamma: float) -> np.ndarray:
+    """w = u - z/gamma for the mode field ``mode_at``. Cyclic reduction on
+    the rows other than 1 and n - 1 writes w as xp + w_1 x1 + w_{n-1} xn;
+    rows 1 and n - 1 then fix w_1 and w_{n-1}, and one more reduction with
+    those values gives w."""
+    n = len(mode_at) - 1
+    c = 2.0 * dz / gamma
+    # (diag, off-diag, rhs) of rows 1 and n - 1 after the substitution of
+    # w_0 = (4 w_1 - w_2 + c) / 3 and w_n = (4 w_{n-1} - w_{n-2}) / 3
+    lo, di, hi, r = stencils[mode_at[1]]
+    p1, q1, r1 = di + 4.0 * lo / 3.0, hi - lo / 3.0, r - lo * c / 3.0
+    lo, di, hi, r = stencils[mode_at[n - 1]]
+    pn, qn, rn = di + 4.0 * hi / 3.0, lo - hi / 3.0, r
 
-    inv2dz = 1.0 / (2.0 * dz)
-    ab[2, 0] = -3.0 * inv2dz
-    ab[1, 1] = 4.0 * inv2dz
-    ab[0, 2] = -1.0 * inv2dz
-    rhs[0] = 0.0
-    ab[2, n] = 3.0 * inv2dz
-    ab[3, n - 1] = -4.0 * inv2dz
-    ab[4, n - 2] = 1.0 * inv2dz
-    rhs[n] = 1.0 / gamma
-    return solve_banded((2, 2), ab, rhs)
+    # identity rows for w_1, w_{n-1} and the padding to 2^k - 1 rows
+    rows = np.array([*stencils, (0.0, 1.0, 0.0, 0.0)]).T
+    index = np.full((1 << (n - 1).bit_length()) - 1, len(stencils))
+    index[1 : n - 2] = mode_at[2 : n - 1]
+    lo, di, hi, rhs = rows[:, index]
+    fixed = np.zeros((3, len(index)))
+    fixed[0] = rhs
+    fixed[1, 0] = fixed[2, n - 2] = 1.0
+    xp, x1, xn = _cyclic_reduction(lo, di, hi, fixed)
+    k = n - 3  # the inner neighbour of w_{n-1}
+    rhs[0], rhs[n - 2] = np.linalg.solve(
+        [[p1 + q1 * x1[1], q1 * xn[1]], [qn * x1[k], pn + qn * xn[k]]],
+        [r1 - q1 * xp[1], rn - qn * xp[k]],
+    )
+    w = np.empty(n + 1)
+    w[1:n] = _cyclic_reduction(lo, di, hi, rhs)[: n - 1]
+    w[0] = (4.0 * w[1] - w[2] + c) / 3.0
+    w[n] = (4.0 * w[n - 1] - w[n - 2]) / 3.0
+    return w
 
 
 def solve_hjb(
@@ -269,31 +297,29 @@ def solve_hjb(
     m0 = dominant_mode(coefficients)
     if m0 is not None:
         mode_at = np.full(n + 1, m0, dtype=np.int64)
-        u = _solve_linear(mode_at, stencils, grid, dz, gamma)
-        ham = _hamiltonians(u, coefficients, dz)
+        w = _solve_linear(mode_at, stencils, dz, gamma)
+        ham = _hamiltonians(w, coefficients, dz, gamma)
         iterations = 1
     else:
         mode_at = np.zeros(n + 1, dtype=np.int64)
-        u = None
-        iterations = 0
-        for _ in range(_MAX_ITERATIONS):
-            iterations += 1
-            u_new = _solve_linear(mode_at, stencils, grid, dz, gamma)
-            ham = _hamiltonians(u_new, coefficients, dz)
+        w = None
+        for iterations in range(1, _MAX_ITERATIONS + 1):
+            w_new = _solve_linear(mode_at, stencils, dz, gamma)
+            ham = _hamiltonians(w_new, coefficients, dz, gamma)
             new_mode = _minimizing_modes(ham, coefficients)
             moved = not np.array_equal(new_mode, mode_at)
-            settled = u is not None and float(np.max(np.abs(u_new - u))) <= _TOL_POLICY
-            u = u_new
+            settled = w is not None and float(np.max(np.abs(w_new - w))) <= _TOL_POLICY
+            w = w_new
             mode_at = new_mode
             if not moved:
-                # u and ham already belong to this mode field.
+                # w and ham already belong to this mode field.
                 break
             if settled:
-                u = _solve_linear(mode_at, stencils, grid, dz, gamma)
-                ham = _hamiltonians(u, coefficients, dz)
+                w = _solve_linear(mode_at, stencils, dz, gamma)
+                ham = _hamiltonians(w, coefficients, dz, gamma)
                 break
             # Held across the next solve, this array fragments the heap and
-            # raises peak RSS by about 5 MB at grid 64000.
+            # raises wcp-a2's peak RSS by about 8 MB at grid 64000.
             del ham
         else:
             raise HjbConvergenceError(
@@ -301,29 +327,32 @@ def solve_hjb(
             )
 
     sel = ham[mode_at, np.arange(n + 1)]
-    residual = sel + grid - gamma * u
-    residual_max = float(np.max(np.abs(residual[1:n])))
+    residual_max = float(np.max(np.abs(sel[1:n] - gamma * w[1:n])))
     if residual_max > _TOL_RESIDUAL:
+        s2 = max(c[1] for c in coefficients)  # floor: sigma2/2 w'' with each w_i off by eps|w|
+        floor = 2.0 * np.finfo(float).eps * np.abs(w).max() * s2 / dz**2
+        fix = "coarsen the grid" if floor >= _TOL_RESIDUAL else "refine the grid or enlarge z_max"
         raise HjbConvergenceError(
-            f"residual {residual_max:.3e} exceeds tol {_TOL_RESIDUAL:.1e}; "
-            "refine the grid or enlarge z_max"
+            f"residual {residual_max:.3e} exceeds tol {_TOL_RESIDUAL:.1e} at a roundoff floor "
+            f"of about {floor:.1e}; {fix}"
         )
     if len(coefficients) > 1:
         excess_min = float(np.min(ham - sel[None, :]))
     else:
         excess_min = 0.0
 
-    du, d2u = _derivatives(u, dz)
+    du, d2u = _derivatives(w, dz)
+    du += 1.0 / gamma
     cut = np.flatnonzero(mode_at[:-1] != mode_at[1:])
     switches = 0.5 * (grid[cut] + grid[cut + 1])
     return HjbSolution(
         grid=grid,
-        u=u,
+        u=w + grid / gamma,
         du=du,
         d2u=d2u,
         mode_at=mode_at,
         switch_points=tuple(switches.tolist()),
-        u0=float(u[0]),
+        u0=float(w[0]),
         residual_max=residual_max,
         excess_min=excess_min,
         iterations=iterations,

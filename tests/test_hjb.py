@@ -1,9 +1,15 @@
 """Workload equation solver: closed forms, grid convergence, policies."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import psslab as ps
 from psslab import hjb
@@ -197,3 +203,103 @@ def test_derivatives_reported_on_grid(get_instance, get_analysis):
     cf = single_mode_value(b, s2, inst.gamma)
     assert np.max(np.abs(sol.u - cf.u(sol.grid))) <= 5e-5
     assert np.max(np.abs(sol.d2u[:100] - cf.d2u(sol.grid[:100]))) <= 5e-3
+
+
+def _dense_u_system(mode_at, stencils, grid, dz, gamma):
+    """The (n+1) x (n+1) system in u itself: the interior stencil rows
+    with right-hand side -z, and the one-sided rows u'(0) = 0 and
+    u'(z_max) = 1/gamma."""
+    n = len(grid) - 1
+    a = np.zeros((n + 1, n + 1))
+    for i in range(1, n):
+        a[i, i - 1 : i + 2] = stencils[mode_at[i]][:3]
+    a[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * dz)
+    a[n, n - 2 :] = np.array([1.0, -4.0, 3.0]) / (2.0 * dz)
+    rhs = -grid.copy()
+    rhs[0] = 0.0
+    rhs[n] = 1.0 / gamma
+    return a, rhs
+
+
+def _check_against_dense_u_system(modes, gamma, mode_at, z_max):
+    grid_n = len(mode_at) - 1
+    dz = z_max / grid_n
+    grid = np.linspace(0.0, z_max, grid_n + 1)
+    stencils = hjb._stencils(modes, dz, gamma)
+    a, rhs = _dense_u_system(mode_at, stencils, grid, dz, gamma)
+    u_ref = np.linalg.solve(a, rhs)
+    u = hjb._solve_linear(mode_at, stencils, dz, gamma) + grid / gamma
+    # Both solves are backward stable, so each is within about
+    # cond(A) eps of the exact solution; allow 10 cond(A) eps.
+    kappa = np.linalg.cond(a, np.inf)
+    tol = 10.0 * kappa * np.finfo(float).eps * np.max(np.abs(u_ref))
+    assert np.max(np.abs(u - u_ref)) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # |b| up to 5 with small sigma2 pushes |b| dz past sigma2 on coarse
+    # grids, so both upwind stencils occur besides the centred one.
+    modes=st.lists(
+        st.tuples(st.floats(-5.0, 5.0), st.floats(0.01, 2.0)), min_size=1, max_size=4
+    ),
+    gamma=st.floats(0.1, 3.0),
+    grid_n=st.integers(3, 300),
+    data=st.data(),
+)
+@example(modes=[(-5.0, 0.01), (5.0, 0.01), (0.0, 1.0)], gamma=1.0, grid_n=3, data=None)
+@example(modes=[(-5.0, 0.01), (5.0, 0.01), (0.0, 1.0)], gamma=0.1, grid_n=4, data=None)
+def test_linear_solve_matches_dense_u_system(modes, gamma, grid_n, data):
+    modes = tuple(modes)
+    if data is None:
+        mode_at = np.arange(grid_n + 1) % len(modes)
+    else:
+        field = st.lists(
+            st.integers(0, len(modes) - 1), min_size=grid_n + 1, max_size=grid_n + 1
+        )
+        mode_at = np.array(data.draw(field))
+    _check_against_dense_u_system(modes, gamma, mode_at, default_z_max(modes, gamma))
+
+
+@pytest.mark.parametrize("b", [-3.1, 3.1])
+@pytest.mark.parametrize("grid_n", [3, 4, 7, 300])
+def test_linear_solve_with_singular_corner_row(b, grid_n):
+    # With dz = 1, sigma2 = 0.1 and gamma = 1, the upwind row next to the
+    # wall that b drifts towards has a zero diagonal once the one-sided
+    # boundary row is substituted into it.
+    mode_at = np.zeros(grid_n + 1, dtype=np.int64)
+    _check_against_dense_u_system(((b, 0.1),), 1.0, mode_at, float(grid_n))
+
+
+@pytest.mark.parametrize("name", ["mm1", "example_a"])
+def test_u0_matches_closed_form_at_grid_64000(name, get_instance, get_analysis):
+    inst, an = get_instance(name), get_analysis(name)
+    m0 = dominant_mode(an.coefficients)
+    cf = single_mode_value(*an.coefficients[m0], inst.gamma)
+    sol = solve_hjb(an.coefficients, inst.gamma, HjbConfig(grid_n=64000))
+    assert abs(sol.u0 - cf.u0) <= 2e-7
+
+
+def test_fine_grid_solves_switching_instance(get_instance, get_analysis):
+    inst, an = get_instance("example_a2"), get_analysis("example_a2")
+    sol = solve_hjb(an.coefficients, inst.gamma, HjbConfig(grid_n=256000))
+    # u0 of the smooth-fit closed form, pasting the two modes' solutions
+    # with C^2 contact at the threshold.
+    assert abs(sol.u0 - 0.3538526026) <= 1e-8
+
+
+def test_residual_past_roundoff_floor_advises_coarser_grid(get_instance, get_analysis):
+    inst, an = get_instance("mm1"), get_analysis("mm1")
+    with pytest.raises(HjbConvergenceError, match="roundoff floor .*; coarsen the grid"):
+        solve_hjb(an.coefficients, inst.gamma, HjbConfig(grid_n=512000))
+
+
+def test_hjb_solve_imports_no_scipy():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, psslab\n"
+        "psslab.solve_hjb(((0.0, 2.0), (-0.1, 3.0)), 1.0)\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
