@@ -331,7 +331,8 @@ def solve_hjb(
     if residual_max > _TOL_RESIDUAL:
         s2 = max(c[1] for c in coefficients)  # floor: sigma2/2 w'' with each w_i off by eps|w|
         floor = 2.0 * np.finfo(float).eps * np.abs(w).max() * s2 / dz**2
-        fix = "coarsen the grid" if floor >= _TOL_RESIDUAL else "refine the grid or enlarge z_max"
+        # ham reuses the system's stencils: above the floor the solve failed.
+        fix = "coarsen the grid" if floor >= _TOL_RESIDUAL else "the linear solve lost accuracy"
         raise HjbConvergenceError(
             f"residual {residual_max:.3e} exceeds tol {_TOL_RESIDUAL:.1e} at a roundoff floor "
             f"of about {floor:.1e}; {fix}"

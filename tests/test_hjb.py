@@ -294,6 +294,22 @@ def test_residual_past_roundoff_floor_advises_coarser_grid(get_instance, get_ana
         solve_hjb(an.coefficients, inst.gamma, HjbConfig(grid_n=512000))
 
 
+@pytest.mark.parametrize(
+    "offset,advice",
+    [(1e-3, "the linear solve lost accuracy"), (1e4, "coarsen the grid")],
+)
+def test_residual_advice_follows_roundoff_floor(
+    get_instance, get_analysis, monkeypatch, offset, advice
+):
+    # Shifting w by a constant c leaves every derivative alone and leaves a
+    # residual of gamma c; a large |w| also lifts the roundoff floor past tol.
+    inst, an = get_instance("mm1"), get_analysis("mm1")
+    solve = hjb._solve_linear
+    monkeypatch.setattr(hjb, "_solve_linear", lambda *args: solve(*args) + offset)
+    with pytest.raises(HjbConvergenceError, match=f"roundoff floor .*; {advice}$"):
+        solve_hjb(an.coefficients, inst.gamma, HjbConfig(grid_n=4000))
+
+
 def test_hjb_solve_imports_no_scipy():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     code = (

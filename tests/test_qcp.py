@@ -15,7 +15,6 @@ from psslab.qcp import (
     _Context,
     MinimumNError,
     PolicySpec,
-    RenewalSource,
     _simulate,
     check_trace_inequalities,
     compute_scaled,
@@ -23,6 +22,7 @@ from psslab.qcp import (
     estimate_qcp_cost,
     identity_residual_exact,
     policy_allocation,
+    renewal_stream,
     run_qcp,
     verify_lower_bound,
 )
@@ -60,28 +60,31 @@ def philox(key) -> np.random.Generator:
 
 def test_renewal_sources():
     key = (0, (0, 0, 0))
-    det = RenewalSource(0.0, 4.0, philox(key))
-    assert [det.next() for _ in range(3)] == [0.25, 0.25, 0.25]
-    gam = RenewalSource(0.5, 2.0, philox(key))
-    draws = np.array([gam.next() for _ in range(4000)])
+    det = renewal_stream(0.0, 4.0, philox(key))
+    assert [next(det) for _ in range(3)] == [0.25, 0.25, 0.25]
+    gam = renewal_stream(0.5, 2.0, philox(key))
+    draws = np.array([next(gam) for _ in range(4000)])
     assert np.all(draws > 0.0)
     assert np.mean(draws) == pytest.approx(0.5, abs=0.03)
     assert np.var(draws) == pytest.approx(0.5 * 0.25, rel=0.2)
     with pytest.raises(ValueError, match="scv"):
-        RenewalSource(-0.5, 2.0, philox(key))
+        renewal_stream(-0.5, 2.0, philox(key))
+    for rate in (0.0, -1.0):
+        with pytest.raises(ValueError, match="rate"):
+            renewal_stream(0.5, rate, philox(key))
 
 
 def test_renewal_stream_across_buffer_refill():
     scv = 0.5
     key = (9, 1, 4)
-    src = RenewalSource(scv, 3.0, philox(key))
-    draws = [src.next() for _ in range(1100)]
+    src = renewal_stream(scv, 3.0, philox(key))
+    draws = [next(src) for _ in range(1100)]
     assert all(type(v) is float for v in draws)
     rng = philox(key)
     blocks = [rng.gamma(1.0 / scv, scv / 3.0, 512) for _ in range(3)]
     assert draws == np.concatenate(blocks)[:1100].tolist()
-    det = RenewalSource(0.0, 4.0, philox(key))
-    assert type(det.next()) is float
+    det = renewal_stream(0.0, 4.0, philox(key))
+    assert type(next(det)) is float
 
 
 ALL_PASS = ("example_a", "example_a1", "example_a2", "example_b", "example_c", "example_e", "mm1")
@@ -128,9 +131,9 @@ def test_allocation_admissible_and_cache_exact(get_instance, get_analysis, data)
     m = ctx.mode_at(w_hat)
     ctx.cached_allocation([0] * len(x), 0, m)
     ctx.cached_allocation([min(v, 1) for v in x], mask, m)
-    cached, active = ctx.cached_allocation(x, mask, m)
+    cached = ctx.cached_allocation(x, mask, m)
     assert cached == alloc
-    assert active == [j for j, a in enumerate(alloc) if a > 0.0]
+    assert ctx.cached_allocation([max(v, 2) if v else 0 for v in x], mask, m) is cached
 
 
 @pytest.mark.parametrize("label", ["static:1:wc", "threshold", "priority"])
@@ -298,6 +301,33 @@ def test_cost_estimate_reproducible_and_thread_invariant(get_instance, get_analy
     with pytest.raises(ValueError):
         estimate_qcp_cost(inst, an, n=25, policy=pol, n_reps=1, seed=4)
 
+    # verify_lower_bound runs all its estimates over one pool.
+    import concurrent.futures
+
+    from psslab.hjb import solve_hjb
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    sol = solve_hjb(an.coefficients, inst.gamma)
+    kw = dict(
+        n_list=(25, 36),
+        policies=(pol, PolicySpec.server_priority(((0,),))),
+        n_reps=4,
+        horizon=3.0,
+        seed=4,
+    )
+    pooled = verify_lower_bound(inst, an, sol, **kw)
+    assert len(pools) == 1
+    monkeypatch.setenv("PSS_THREADS", "1")
+    assert verify_lower_bound(inst, an, sol, **kw) == pooled
+    assert len(pools) == 1
+
 
 def test_scaled_series_require_assumptions(get_instance, get_analysis):
     # The prelimit system itself runs under any static mode, but scaled
@@ -335,74 +365,109 @@ def test_verify_bound_small(get_instance, get_analysis):
     assert rep.v0 == pytest.approx(sol.u0, rel=1e-12)
 
 
-# (cost, H_T, trace digest) of the event kernel, recorded before the kernel
-# was rewritten for speed; any change to the floats or their order of
-# operations shows here.
+# (cost, H_T, count digest, float digest) of the event kernel. The count
+# digest covers the integer columns (x, arrivals, departures), which fix the
+# event sequence; it was recorded before the kernel moved to absolute clock
+# times and must never change. The float digest covers times, busy and alloc
+# and moves with the order of floating point operations, so it is pinned
+# with the cost and H_T of the current kernel.
 KERNEL_PINS = {
-    ("example_a", "static:0", 3): (2.2726789991180603, 5.0,
-        "ebd70dd41e906bddba633e78a22216749f6f17a80b1ff6f146ce1cbcb92311f8"),
-    ("example_a", "static:0", 8): (3.5067535692160763, 13.600000000000001,
-        "809795c5910ac80e3ceaeee57c1633d7a259dba6e7d490b22cbb529221a895aa"),
-    ("example_a", "static:0:wc", 3): (1.2571506723261574, 5.800000000000001,
-        "c99bc488ed17dbbbe62fd9a11b366ab8460e67d5098fe54662a8ec8485c2fd76"),
-    ("example_a", "static:0:wc", 8): (1.3433158626351471, 6.6000000000000005,
-        "44f1b47898370ef37939a767bc8e120541b75faf34edd100f4b50fe454792420"),
-    ("example_a", "static:1", 3): (1.441825877685122, 4.6000000000000005,
-        "89c60fc985f0334692fedcbb14b4d05b29dd9b5e607d7f3cb7608f7c17a0cbac"),
-    ("example_a", "static:1", 8): (3.000132664594489, 8.6,
-        "759321bfbd6fd80a48349a03a3e038a4b8717285fdce1e88a5e0c9bcfd308fb8"),
-    ("example_a", "static:1:wc", 3): (0.9059914242754501, 3.6,
-        "068f3f72b42df69e5f00866c3c2a0d9790d7fea3d48ba65626edbd9a819a0ed4"),
-    ("example_a", "static:1:wc", 8): (2.395774185217279, 5.4,
-        "cfd9d6cf1407faeaf220a70401d2a35bf861a7608790980a99c070754716a91e"),
-    ("example_a", "threshold", 3): (1.9105233175870093, 7.0,
-        "c49ce9f35bba0775892d1f9378c29c680da0f34852ab457d6de87f644c28b59b"),
-    ("example_a", "threshold", 8): (2.7379981923017533, 9.4,
-        "09abb2d7cf2ca49e235d231d688ff1cb0b8243d378ef0835a56c6be1a436e8a2"),
-    ("example_a", "priority", 3): (1.7119606678866837, 7.4,
-        "39f59d055b1fdf3055c89aac87480a3405900f548c2467a23e85185b76ec40e7"),
-    ("example_a", "priority", 8): (2.373048598853337, 7.2,
-        "de02a598367739bc4937b3882870ae1c699efcc69e53184327fada7cc5a424f4"),
-    ("example_a2", "static:0", 3): (1.469725324300807, 5.0,
-        "a2ee1ad74958b18822bc4432245c5b1f1ad3c27ef30a28f2e87cda35d16c2166"),
-    ("example_a2", "static:0", 8): (3.364909894465212, 14.8,
-        "432300c07193e0f8dc86159554e794bd19b8b517918cca1e2f59fe8106ed89e4"),
-    ("example_a2", "static:0:wc", 3): (0.726228135024084, 4.4,
-        "ac7607574b590bff680734d16c7fe6458d3bcef7701af988d9b549b2ce1f249b"),
-    ("example_a2", "static:0:wc", 8): (2.348625229934976, 6.2,
-        "d9fa86d6fb7f2e94d95c10c16f711776b78cdcbe593af917f81180516203904f"),
-    ("example_a2", "static:1", 3): (1.351206524117654, 4.0,
-        "235e7c4fbd4c5309788e68192bbceeecfce324fa9b416cb561fe3833e22a6ddc"),
-    ("example_a2", "static:1", 8): (2.667855310544527, 8.4,
-        "9e92ef5d1b10a16a53ed8ffb8faba89fcb35b4d9cd66b5bc88131fa619fc0153"),
-    ("example_a2", "static:1:wc", 3): (0.9304148324330522, 0.6000000000000001,
-        "f172603ca16e11a949ae3f3c31161d6fa8cc698e08642d082ce46a494d4a6e47"),
-    ("example_a2", "static:1:wc", 8): (1.3923036450614876, 3.4000000000000004,
-        "fd33d125e4369824ec9f0c231e9d4ad1c9c8793a37a6f880020e215e66ec4ed8"),
-    ("example_a2", "threshold", 3): (1.3696297990366233, 5.4,
-        "70853a42edf69f45870ef62f46160f71b751bf9211ca2dd042ff6b35fb423b3e"),
-    ("example_a2", "threshold", 8): (2.8777945618353664, 10.200000000000001,
-        "af2c8d3cd66ed5f37a8a351dd0bb9b21fecaf5df928b9ba4a3133de20418f6b7"),
-    ("example_a2", "priority", 3): (1.138002571918483, 8.200000000000001,
-        "58d4aec022a1a5d9ec2a72f323f95a6db23db137f58dd8135476e25b37a760a6"),
-    ("example_a2", "priority", 8): (1.5827640427054754, 4.0,
-        "659a6d0805f7cfc7309673d40dd2019a7da2a6130733669cb4073c0c9691d658"),
-    ("mm1", "static:0", 3): (1.0067117064482531, 2.5,
-        "fa6c8da26fe915bd08be9449f3a847b69a76ea73a23c87e1fbe87c238d4a6178"),
-    ("mm1", "static:0", 8): (0.5785714663732593, 5.800000000000001,
-        "5a89eac8bb72988eedbb0f8f1e34cf84d033cfb7a9659c045289f2973fe33d14"),
-    ("mm1", "static:0:wc", 3): (1.0067117064482531, 2.5,
-        "fa6c8da26fe915bd08be9449f3a847b69a76ea73a23c87e1fbe87c238d4a6178"),
-    ("mm1", "static:0:wc", 8): (0.5785714663732593, 5.800000000000001,
-        "5a89eac8bb72988eedbb0f8f1e34cf84d033cfb7a9659c045289f2973fe33d14"),
-    ("mm1", "threshold", 3): (1.0067117064482531, 2.5,
-        "fa6c8da26fe915bd08be9449f3a847b69a76ea73a23c87e1fbe87c238d4a6178"),
-    ("mm1", "threshold", 8): (0.5785714663732593, 5.800000000000001,
-        "5a89eac8bb72988eedbb0f8f1e34cf84d033cfb7a9659c045289f2973fe33d14"),
-    ("mm1", "priority", 3): (1.0067117064482531, 2.5,
-        "fa6c8da26fe915bd08be9449f3a847b69a76ea73a23c87e1fbe87c238d4a6178"),
-    ("mm1", "priority", 8): (0.5785714663732593, 5.800000000000001,
-        "5a89eac8bb72988eedbb0f8f1e34cf84d033cfb7a9659c045289f2973fe33d14"),
+    ("example_a", "priority", 3): (1.7119606678866828, 7.4,
+        "3bd95d6b2d965be48010ff7f26c194b6b95b869fe15bcdba3b11bb0259fc5701",
+        "2c128b36fe6fc2a93bf1dee32faa520c30d746d098bf5c965a6010c2a8184cf8"),
+    ("example_a", "priority", 8): (2.373048598853331, 7.2,
+        "468b3495148decdf742d23b5fb5199d0300dd09e07f3d3a3f6f11e435fe7afcb",
+        "c7c994fb57eca70c05c94dbdf4b005662f83b7882f8c44b9b77eb9ebf469ec4e"),
+    ("example_a", "static:0", 3): (2.272678999118074, 5.0,
+        "e81380b5e955bcc148d9368194d60c54eb9f8c3b2cf6976cbdbe334ad01d0da4",
+        "3f032ae6eb078937beaabd25bfb57a10658caa16758d3f318861c3ad39b33462"),
+    ("example_a", "static:0", 8): (3.506753569216074, 13.600000000000001,
+        "cf18cb3c9d269a6ad6a87b9389a9e8a4baf72c85883819e34917842c9ffa6f36",
+        "c430fc99a14a4aa1071861c5c97a369300c0e0fcc8dacbbe21ec8c1fe9332d73"),
+    ("example_a", "static:0:wc", 3): (1.2571506723261496, 5.800000000000001,
+        "acb7ad6300dca12b78cea4e363e31bd10b3bc184f99be556a1663fc05a1f18ea",
+        "fb2d17edd85c2390710e7e354bad89e9bfe9087a6018aa60974d92a42ddc19be"),
+    ("example_a", "static:0:wc", 8): (1.343315862635144, 6.6000000000000005,
+        "6cd7802ad9a006e556e0e3110d607456705ec2a18119c20dbc07ee2740c3cadf",
+        "cbfca8d71dc20cd606b000355d7fbdd6fe49e28005140caae3447f13382c64ea"),
+    ("example_a", "static:1", 3): (1.4418258776851216, 4.6000000000000005,
+        "a1a89dbad76f5c3604a44907a5b80a161ce4d0ea66df06e1546d5118516d3341",
+        "70140bab864fca10432565233093383f0cdc3c9bd71cbe99bdead4f070b7cca5"),
+    ("example_a", "static:1", 8): (3.0001326645944904, 8.6,
+        "3abef19686c5205c90a3b47904f50955eddbc143c1c3b2caf98bd176223139bd",
+        "7eda829e5fb50155a7f6ec873136346724276efead01cf43a6d7d3489c7876c7"),
+    ("example_a", "static:1:wc", 3): (0.905991424275452, 3.6,
+        "010d985bf88e123e9bfd63f41dd2517081d0a347bf068bdfd8c9297eb30ad92a",
+        "d823a13f43517e1931d1bde3e8a8d2f96ad357842cbb202092aa558612008094"),
+    ("example_a", "static:1:wc", 8): (2.3957741852172822, 5.4,
+        "d92dcbd10db979e701ddda32588dfa58effa61fe7d9e258bc1009d9e6a28c11b",
+        "5c5b0ac909870869acc54196dbd81dad0d2890116ff23a2a6e9113d379f6d7cd"),
+    ("example_a", "threshold", 3): (1.9105233175870138, 7.0,
+        "7022d967be605bd06cb35692b4373fe1d6648319cd28207ec86ec1e4fdd8db9e",
+        "b38695b1b1b711c551d940385dbee984a63a9153a2b7ed99524216873ee131f5"),
+    ("example_a", "threshold", 8): (2.737998192301765, 9.4,
+        "e4c083aafaaae7dc8ae06f1c92b411b219239b6a75b45032a7a06f0e7676efc2",
+        "1d76c011381557731bdfda1c07aed083eb9c16e1c37fb5136d5e78a2f01a31bc"),
+    ("example_a2", "priority", 3): (1.138002571918482, 8.200000000000001,
+        "2050faaded08f9ea6d8346f5a85d9c74d8a03611769e1c76825c7dfef078a287",
+        "d8b951a54d3774aba0184459de0e7cbd2ea4be411b0c54c8f08ddda8545d3245"),
+    ("example_a2", "priority", 8): (1.582764042705475, 4.0,
+        "a1fff4388242653f47627af31a840f6536f50c533a5ddb6c59a4de2e2f4ff955",
+        "b70e2de8a1b1fc83f227de6a2d7a3c41a8b70d9af10d050a039fdc0f8aef5ebe"),
+    ("example_a2", "static:0", 3): (1.4697253243008077, 5.0,
+        "d0a235a584aa3cd643a427db5c6615bec1880abc0f2bb8f0b7cdf27f6d7048e1",
+        "8c1134e5369a09dd75b3196d12823adccffe89b9ca9ab3f6819597db3be37b36"),
+    ("example_a2", "static:0", 8): (3.3649098944652076, 14.8,
+        "c8501845153234625de4ea0665f41d3741fdc144a769a7d26c823f485f3d1e59",
+        "7a8056d23fd5d86835a36c4222c6f8327464d6e413a4a0c27d9d3dc6b28deb20"),
+    ("example_a2", "static:0:wc", 3): (0.7262281350240856, 4.4,
+        "acfe63131d42b819291e0023f9666be7ee49f1c720f843633e5fe99d9e490e2b",
+        "581c3c74efc971bd605d4f81540a2ce10644d29c77f764313345e55b667d75c3"),
+    ("example_a2", "static:0:wc", 8): (2.3486252299349712, 6.2,
+        "c03183911119cb3a50ae729bbf1b9401df1b3bc9768cc1e4e72730936bfd2b46",
+        "ca4c3acb01ea252cce1e0f585163f97fce81e60bc1a34138ec803084bfa91a7b"),
+    ("example_a2", "static:1", 3): (1.3512065241176594, 4.0,
+        "4017520a675e0f1897ff3571c4263a27b139ff7546b2ef1b61fbc5b1428d7206",
+        "c35ddfc1cf006f74157b0ee548c65788a3ad0f9910262e96a8036b5e23b33b29"),
+    ("example_a2", "static:1", 8): (2.667855310544521, 8.4,
+        "cb1b2a19afd600c7d5484d251ebfd0dbff8517e2b13046842002f50041a4209c",
+        "7d90d277d535fc8b30f34cb286b7a58eef99b5253f020d00c62de30d80bdb324"),
+    ("example_a2", "static:1:wc", 3): (0.9304148324330541, 0.6000000000000001,
+        "a08b76d1ab622ce1277d9cb1868a7739d32cf65c602896d87960731ec267d3ef",
+        "ae779e1d7c0ad705c0d3c8263c661b4bb9eace5239e48c2b920a1a4be5fb6690"),
+    ("example_a2", "static:1:wc", 8): (1.392303645061483, 3.4000000000000004,
+        "38f276d5925bafd3bb44869b53d7550953c74e9233da27be93a893597b2eb892",
+        "d24cfe4a31708d204f6491a433d800b5b8cd53d72814aa17908d659e154169a7"),
+    ("example_a2", "threshold", 3): (1.3696297990366266, 5.4,
+        "2d956544783ca316d1e1485ffde66d8b93426e39646c7ffa75aea343a8fad20a",
+        "368ba228d659c47c1215834cd508523b4f94017adad31bdc1796c7e2571fe94f"),
+    ("example_a2", "threshold", 8): (2.8777945618353606, 10.200000000000001,
+        "cb8ba08a1a8d2f2722e2dc585e7484ec4e3057a0f77f2e5cf750423477646085",
+        "47dab01d94e5646bb95483ef91f0e750df4adcbafd74153bf07158f798828dd4"),
+    ("mm1", "priority", 3): (1.0067117064482562, 2.5,
+        "cfa88e380666def177a068a6a98066255ec9dbab1238242aa975405f77603c94",
+        "e8892b6541fea743e1e14f5f35dea3e62d8a51784ad3f488fe7d2ff46806b53a"),
+    ("mm1", "priority", 8): (0.5785714663732556, 5.800000000000001,
+        "c85f6d4e6b93003fa097eb22a2e05c7effdf11045a695d996271efc9e4f3b7e4",
+        "49c2c597d1a81bcb4dec8037a1dd70adc09f9b7e3db83a2a0b5f0a004da43479"),
+    ("mm1", "static:0", 3): (1.0067117064482562, 2.5,
+        "cfa88e380666def177a068a6a98066255ec9dbab1238242aa975405f77603c94",
+        "e8892b6541fea743e1e14f5f35dea3e62d8a51784ad3f488fe7d2ff46806b53a"),
+    ("mm1", "static:0", 8): (0.5785714663732556, 5.800000000000001,
+        "c85f6d4e6b93003fa097eb22a2e05c7effdf11045a695d996271efc9e4f3b7e4",
+        "49c2c597d1a81bcb4dec8037a1dd70adc09f9b7e3db83a2a0b5f0a004da43479"),
+    ("mm1", "static:0:wc", 3): (1.0067117064482562, 2.5,
+        "cfa88e380666def177a068a6a98066255ec9dbab1238242aa975405f77603c94",
+        "e8892b6541fea743e1e14f5f35dea3e62d8a51784ad3f488fe7d2ff46806b53a"),
+    ("mm1", "static:0:wc", 8): (0.5785714663732556, 5.800000000000001,
+        "c85f6d4e6b93003fa097eb22a2e05c7effdf11045a695d996271efc9e4f3b7e4",
+        "49c2c597d1a81bcb4dec8037a1dd70adc09f9b7e3db83a2a0b5f0a004da43479"),
+    ("mm1", "threshold", 3): (1.0067117064482562, 2.5,
+        "cfa88e380666def177a068a6a98066255ec9dbab1238242aa975405f77603c94",
+        "e8892b6541fea743e1e14f5f35dea3e62d8a51784ad3f488fe7d2ff46806b53a"),
+    ("mm1", "threshold", 8): (0.5785714663732556, 5.800000000000001,
+        "c85f6d4e6b93003fa097eb22a2e05c7effdf11045a695d996271efc9e4f3b7e4",
+        "49c2c597d1a81bcb4dec8037a1dd70adc09f9b7e3db83a2a0b5f0a004da43479"),
 }
 KERNEL_RUNS = {"example_a": (25, 2.0), "example_a2": (25, 2.0), "mm1": (100, 8.0)}
 
@@ -418,9 +483,9 @@ def _pinned_policy(inst, an, label):
     return PolicySpec.static_mode(int(parts[1]), work_conserving=len(parts) == 3)
 
 
-def _trace_digest(trace) -> str:
+def _digest(trace, fields) -> str:
     h = hashlib.sha256()
-    for a in (trace.times, trace.x, trace.arrivals, trace.departures, trace.busy, trace.alloc):
+    for a in (getattr(trace, f) for f in fields):
         h.update(a.dtype.str.encode())
         h.update(repr(a.shape).encode())
         h.update(a.tobytes())
@@ -434,8 +499,9 @@ def test_event_kernel_pinned(get_instance, get_analysis, name, label, seed):
     n, horizon = KERNEL_RUNS[name]
     policy = _pinned_policy(inst, an, label)
     assert policy.label == label
-    cost, h_t, digest = KERNEL_PINS[(name, label, seed)]
+    cost, h_t, counts, floats = KERNEL_PINS[(name, label, seed)]
     _, got_cost, got_h_t = _simulate(inst, an, n, policy, horizon, seed, 1, record=False)
     assert (got_cost, got_h_t) == (cost, h_t)
     trace = run_qcp(inst, an, n, policy, horizon=horizon, seed=seed, rep=1)
-    assert _trace_digest(trace) == digest
+    assert _digest(trace, ("x", "arrivals", "departures")) == counts
+    assert _digest(trace, ("times", "busy", "alloc")) == floats
