@@ -444,6 +444,12 @@ KERNEL_PINS = {
     ("example_a2", "threshold", 8): (2.8777945618353606, 10.200000000000001,
         "cb8ba08a1a8d2f2722e2dc585e7484ec4e3057a0f77f2e5cf750423477646085",
         "47dab01d94e5646bb95483ef91f0e750df4adcbafd74153bf07158f798828dd4"),
+    ("example_a2", "threshold:wc", 3): (0.7295661067485695, 5.0,
+        "d10fca592615f62992ec73e1680c3242edb919f27bcc7b165f74fe6cc22ff18a",
+        "0661db9195fdf1d9f3ee765c58e76f0c18aa54c529d7c9c16e6568dcf2fb172e"),
+    ("example_a2", "threshold:wc", 8): (1.7075638440402852, 5.800000000000001,
+        "df187a7e0a78eb2331091a5365f1c89f058a39d6cbb654703fc2fe0726f2a512",
+        "8dff0ec447704bf047c93229d1e787fb5ca2c92c5d3d4c50ec7007b0db375e09"),
     ("mm1", "priority", 3): (1.0067117064482562, 2.5,
         "cfa88e380666def177a068a6a98066255ec9dbab1238242aa975405f77603c94",
         "e8892b6541fea743e1e14f5f35dea3e62d8a51784ad3f488fe7d2ff46806b53a"),
@@ -468,15 +474,22 @@ KERNEL_PINS = {
     ("mm1", "threshold", 8): (0.5785714663732556, 5.800000000000001,
         "c85f6d4e6b93003fa097eb22a2e05c7effdf11045a695d996271efc9e4f3b7e4",
         "49c2c597d1a81bcb4dec8037a1dd70adc09f9b7e3db83a2a0b5f0a004da43479"),
+    ("mm1", "threshold:wc", 3): (1.0067117064482562, 2.5,
+        "cfa88e380666def177a068a6a98066255ec9dbab1238242aa975405f77603c94",
+        "e8892b6541fea743e1e14f5f35dea3e62d8a51784ad3f488fe7d2ff46806b53a"),
+    ("mm1", "threshold:wc", 8): (0.5785714663732556, 5.800000000000001,
+        "c85f6d4e6b93003fa097eb22a2e05c7effdf11045a695d996271efc9e4f3b7e4",
+        "49c2c597d1a81bcb4dec8037a1dd70adc09f9b7e3db83a2a0b5f0a004da43479"),
 }
 KERNEL_RUNS = {"example_a": (25, 2.0), "example_a2": (25, 2.0), "mm1": (100, 8.0)}
 
 
 def _pinned_policy(inst, an, label):
-    if label == "threshold":
+    if label.startswith("threshold"):
+        wc = label == "threshold:wc"
         if len(an.modes) > 1:
-            return PolicySpec.workload_threshold(ModePolicy(thresholds=(0.36,), modes=(0, 1)))
-        return PolicySpec.workload_threshold(ModePolicy.constant(0))
+            return PolicySpec.workload_threshold(ModePolicy(thresholds=(0.36,), modes=(0, 1)), wc)
+        return PolicySpec.workload_threshold(ModePolicy.constant(0), wc)
     if label == "priority":
         return PolicySpec.server_priority(inst.server_activities)
     parts = label.split(":")
