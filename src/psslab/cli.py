@@ -102,6 +102,12 @@ def _check_options(args: argparse.Namespace) -> None:
             "sim-wcp policy must be hjb or static:<mode>",
         )
     if cmd in ("sim-qcp", "verify-bound"):
+        for text in [args.policy] if cmd == "sim-qcp" else args.policy or ():
+            _need(
+                re.fullmatch(r"static:(0|[1-9]\d*)(:wc)?|threshold(:wc)?|priority", text)
+                is not None,
+                f"unknown policy {text!r}; use static:<mode>[:wc], threshold[:wc] or priority",
+            )
         _need(
             args.horizon is None or (math.isfinite(args.horizon) and args.horizon >= 0),
             "--horizon must be a nonnegative number",
@@ -291,23 +297,17 @@ def _require_assumptions(analysis: LpAnalysis) -> None:
 
 
 def _parse_policy(text: str, analysis: LpAnalysis, solution_of: "callable") -> PolicySpec:
+    """A --policy value whose syntax _check_options has accepted."""
     parts = text.split(":")
-    kind = parts[0]
-    if kind == "static":
-        if len(parts) < 2 or not parts[1].lstrip("-").isdigit():
-            raise CliError("static policy syntax is static:<mode>[:wc]")
+    wc = parts[-1] == "wc"
+    if parts[0] == "static":
         mode = int(parts[1])
-        if not 0 <= mode < len(analysis.modes):
+        if mode >= len(analysis.modes):
             raise CliError(f"mode {mode} out of range 0..{len(analysis.modes) - 1}")
-        return PolicySpec.static_mode(mode, work_conserving="wc" in parts[2:])
-    if kind == "threshold":
-        return PolicySpec.workload_threshold(
-            extract_policy(solution_of()), work_conserving="wc" in parts[1:]
-        )
-    if kind == "priority":
-        priorities = tuple(tuple(acts) for acts in analysis.instance.server_activities)
-        return PolicySpec.server_priority(priorities)
-    raise CliError(f"unknown policy {text!r}; use static:<mode>[:wc], threshold[:wc], priority")
+        return PolicySpec.static_mode(mode, work_conserving=wc)
+    if parts[0] == "threshold":
+        return PolicySpec.workload_threshold(extract_policy(solution_of()), work_conserving=wc)
+    return PolicySpec.server_priority(analysis.instance.server_activities)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -82,42 +82,53 @@ def renewal_stream(scv: float, rate: float, rng: np.random.Generator):
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Allocation rule for the prelimit system.
+    """A prelimit control: a mode selector plus one allocation rule per
+    selector interval.
 
-    kind "static": always project one mode, held as the constant
-    ModePolicy ``policy``; "threshold": pick the mode by the scaled
-    workload through ``policy``; "priority": each server serves its first
-    backlogged activity in ``priorities[k]`` at full rate. For
-    static/threshold kinds the mode's effort is masked to backlogged
-    classes; with work_conserving=True each server spreads its masked-off
-    effort over its backlogged activities in proportion to the mode
-    (evenly when the mode puts no weight on them).
+    ``selector`` maps the scaled workload y*.X / sqrt(n) to an interval of
+    its piecewise constant ModePolicy, and so to a mode. ``rules[p]`` turns
+    interval p's mode into an allocation at the current backlog:
+
+      "xi"    the mode's effort, masked to backlogged classes;
+      "wc"    as "xi", then each server spreads its masked-off effort over
+              its backlogged activities in proportion to the mode (evenly
+              when the mode puts no weight on them);
+      orders  one activity tuple per server; each server serves its first
+              backlogged activity at full rate, whatever the mode.
+
+    ``label`` names the policy in reports. The constructors give the
+    shipped policies: static_mode and server_priority have a constant
+    selector, workload_threshold the HJB one.
     """
 
-    kind: str
-    policy: ModePolicy | None = None
-    priorities: tuple[tuple[int, ...], ...] | None = None
-    work_conserving: bool = False
+    selector: ModePolicy
+    rules: tuple[str | tuple[tuple[int, ...], ...], ...]
+    label: str
+
+    def __post_init__(self) -> None:
+        if len(self.rules) != len(self.selector.modes):
+            raise ValueError(
+                f"need one rule per selector interval: {len(self.selector.modes)}, "
+                f"not {len(self.rules)}"
+            )
+        for rule in self.rules:
+            if rule not in ("xi", "wc") and not isinstance(rule, tuple):
+                raise ValueError(f"unknown allocation rule {rule!r}; use 'xi', 'wc' or orders")
 
     @classmethod
     def static_mode(cls, mode: int, work_conserving: bool = False) -> "PolicySpec":
-        return cls(kind="static", policy=ModePolicy.constant(mode), work_conserving=work_conserving)
+        rule, tag = ("wc", ":wc") if work_conserving else ("xi", "")
+        return cls(ModePolicy.constant(mode), (rule,), f"static:{mode}{tag}")
 
     @classmethod
     def workload_threshold(cls, policy: ModePolicy, work_conserving: bool = False) -> "PolicySpec":
-        return cls(kind="threshold", policy=policy, work_conserving=work_conserving)
+        rule, tag = ("wc", ":wc") if work_conserving else ("xi", "")
+        return cls(policy, (rule,) * len(policy.modes), f"threshold{tag}")
 
     @classmethod
     def server_priority(cls, priorities: tuple[tuple[int, ...], ...]) -> "PolicySpec":
-        return cls(kind="priority", priorities=tuple(tuple(p) for p in priorities))
-
-    @property
-    def label(self) -> str:
-        if self.kind == "static":
-            return f"static:{self.policy.modes[0]}" + (":wc" if self.work_conserving else "")
-        if self.kind == "threshold":
-            return "threshold" + (":wc" if self.work_conserving else "")
-        return "priority"
+        orders = tuple(tuple(p) for p in priorities)
+        return cls(ModePolicy.constant(0), (orders,), "priority")
 
 
 @dataclass(frozen=True)
@@ -192,109 +203,76 @@ def effective_rates(inst: PssInstance, n: int) -> tuple[list[float], list[float]
     )
 
 
-class _Context:
-    """Flattened instance/policy data for the event loop."""
+def allocate(rule, xi, x, inst: PssInstance) -> tuple[float, ...]:
+    """Allocation under one rule of a PolicySpec at queue lengths x; xi is
+    the mode's effort as floats (an orders rule ignores it). Admissible by
+    construction: effort only on backlogged classes, per-server totals at
+    most 1."""
+    cls_of = [a.class_index - 1 for a in inst.activities]
+    out = [0.0] * len(cls_of)
+    if isinstance(rule, tuple):
+        for order in rule:
+            for j in order:
+                if x[cls_of[j]] >= 1:
+                    out[j] = 1.0
+                    break
+        return tuple(out)
+    if rule == "xi":
+        return tuple(v if x[i] >= 1 else 0.0 for v, i in zip(xi, cls_of))
+    for acts in inst.server_activities:
+        live = [j for j in acts if x[cls_of[j]] >= 1]
+        budget = sum(xi[j] for j in acts)
+        weight = sum(xi[j] for j in live)
+        for j in live:
+            out[j] = xi[j] * (budget / weight) if weight > 0.0 else budget / len(live)
+    return tuple(out)
 
-    __slots__ = (
-        "ni", "nk", "nj", "cls_of", "server_acts", "mode_xi",
-        "mode_budget", "kind", "policy", "priorities",
-        "work_conserving", "y", "h", "tables",
-    )
+
+class _Context:
+    """A policy checked against the analysis and flattened for the event
+    loop: per selector interval its rule, its mode's effort and a table of
+    allocations by backlog mask."""
+
+    __slots__ = ("inst", "cls_of", "h", "y", "cuts", "rules", "xis", "tables")
 
     def __init__(self, analysis: LpAnalysis, policy: PolicySpec):
-        inst = analysis.instance
-        self.ni = inst.num_classes
-        self.nk = inst.num_servers
-        self.nj = inst.num_activities
+        inst = self.inst = analysis.instance
         self.cls_of = [a.class_index - 1 for a in inst.activities]
-        self.server_acts = [list(acts) for acts in inst.server_activities]
-        self.mode_xi = [[float(v) for v in m.xi] for m in analysis.modes]
-        self.mode_budget = [
-            [sum(xi[j] for j in acts) for acts in self.server_acts] for xi in self.mode_xi
-        ]
-        self.kind = policy.kind
-        self.policy = policy.policy
-        self.priorities = policy.priorities
-        self.work_conserving = policy.work_conserving
-        self.y = None if analysis.dual is None else [float(v) for v in analysis.dual.y]
         self.h = list(inst.h)
-        self.tables = [{} for _ in range(max(1, len(self.mode_xi)))]
-        if self.kind in ("static", "threshold"):
-            if policy.policy is None:
-                raise ValueError(f"{self.kind} policy needs a ModePolicy")
-            if self.kind == "threshold" and self.y is None:
-                raise ValueError("threshold policy needs the unique dual point")
-            if any(not 0 <= m < len(self.mode_xi) for m in policy.policy.modes):
-                raise ValueError(
-                    f"{self.kind} policy needs mode indices in 0..{len(self.mode_xi) - 1}"
-                )
-        elif self.kind == "priority":
-            if policy.priorities is None or len(policy.priorities) != self.nk:
-                raise ValueError("priority policy needs one activity order per server")
-            for k, order in enumerate(policy.priorities):
-                if sorted(order) != sorted(self.server_acts[k]):
-                    raise ValueError(
-                        f"priority order for server {k} must permute its activities"
-                    )
-        else:
-            raise ValueError(f"unknown policy kind {policy.kind!r}")
+        self.cuts = policy.selector.thresholds
+        if self.cuts and analysis.dual is None:
+            raise ValueError("a switching selector needs the unique dual point")
+        # y only drives the selector; without thresholds wy is never read.
+        self.y = [float(v) for v in analysis.dual.y] if self.cuts else [0.0] * inst.num_classes
+        self.rules = policy.rules
+        self.xis = []
+        intervals = list(zip(policy.selector.modes, policy.rules))
+        for m, rule in intervals:
+            if isinstance(rule, tuple):
+                acts = inst.server_activities
+                if len(rule) != len(acts) or any(
+                    sorted(o) != sorted(a) for o, a in zip(rule, acts)
+                ):
+                    raise ValueError("orders need a permutation of each server's activities")
+                self.xis.append(None)
+            elif 0 <= m < len(analysis.modes):
+                self.xis.append([float(v) for v in analysis.modes[m].xi])
+            else:
+                raise ValueError(f"mode {m} is not in 0..{len(analysis.modes) - 1}")
+        # Intervals with the same mode and rule share one table, so moving
+        # between them keeps the allocation object.
+        shared = {}
+        self.tables = [shared.setdefault(key, {}) for key in intervals]
 
-    def mode_at(self, w_hat: float) -> int:
-        """Mode index in force at scaled workload w_hat (0 for priority)."""
-        return 0 if self.policy is None else self.policy(w_hat)
-
-    def cached_allocation(self, x: list[int], mask: int, m: int) -> tuple[float, ...]:
-        """Allocation under mode m at a state whose backlogged classes are
-        the set bits of mask. It depends on (mask, m) only, so it is built
-        once, and an unchanged allocation is the same object."""
-        table = self.tables[m]
+    def allocation(self, x: list[int], mask: int, p: int) -> tuple[float, ...]:
+        """Allocation in selector interval p at a state whose backlogged
+        classes are the set bits of mask. It depends on (mask, p) only, so
+        it is built once, and an unchanged allocation is the same object."""
+        table = self.tables[p]
         entry = table.get(mask)
         if entry is None:
-            entry = table[mask] = self.allocation(x, m)
+            entry = table[mask] = allocate(self.rules[p], self.xis[p], x, self.inst)
         return entry
-
-    def allocation(self, x: list[int], m: int) -> tuple[float, ...]:
-        out = [0.0] * self.nj
-        cls_of = self.cls_of
-        if self.kind == "priority":
-            for k in range(self.nk):
-                for j in self.priorities[k]:
-                    if x[cls_of[j]] >= 1:
-                        out[j] = 1.0
-                        break
-            return tuple(out)
-        xi = self.mode_xi[m]
-        if not self.work_conserving:
-            return tuple(xi[j] if x[cls_of[j]] >= 1 else 0.0 for j in range(self.nj))
-        budgets = self.mode_budget[m]
-        for k in range(self.nk):
-            acts = self.server_acts[k]
-            weight = 0.0
-            eligible = 0
-            for j in acts:
-                if x[cls_of[j]] >= 1:
-                    eligible += 1
-                    weight += xi[j]
-            if weight > 0.0:
-                scale = budgets[k] / weight
-                for j in acts:
-                    if x[cls_of[j]] >= 1:
-                        out[j] = xi[j] * scale
-            elif eligible:
-                share = budgets[k] / eligible
-                for j in acts:
-                    if x[cls_of[j]] >= 1:
-                        out[j] = share
-        return tuple(out)
-
-
-def policy_allocation(
-    policy: PolicySpec, x, w_hat: float, analysis: LpAnalysis
-) -> tuple[float, ...]:
-    """Allocation used at state (x, w_hat); admissible by construction:
-    effort only on backlogged classes, per-server totals at most 1."""
-    ctx = _Context(analysis, policy)
-    return ctx.allocation(list(x), ctx.mode_at(w_hat))
 
 
 def _simulate(
@@ -320,7 +298,7 @@ def _simulate(
     """
     lam_n, mu_n = effective_rates(inst, n)
     ctx = _Context(analysis, policy)
-    ni, nj = ctx.ni, ctx.nj
+    ni, nj = inst.num_classes, inst.num_activities
     gamma = inst.gamma
 
     def draws(kind: int, idx: int, scv: float, rate: float):
@@ -339,12 +317,10 @@ def _simulate(
     eff = [0.0] * nj
     b0 = [0.0] * nj
     t0 = [0.0] * nj
-    h, tables, cls_of = ctx.h, ctx.tables, ctx.cls_of
+    h, y, tables, cls_of, cuts = ctx.h, ctx.y, ctx.tables, ctx.cls_of, ctx.cuts
     inv_sqrt_n = 1.0 / math.sqrt(n)
-    threshold = ctx.kind == "threshold"
-    cuts, modes = (ctx.policy.thresholds, ctx.policy.modes) if threshold else ((), ())
-    y = ctx.y if threshold else [0.0] * ni
-    m, mask = ctx.mode_at(0.0), 0
+    switching = bool(cuts)
+    p, mask = bisect_right(cuts, 0.0), 0
     xi = None
 
     rows = array("d") if record else None
@@ -353,7 +329,7 @@ def _simulate(
     e = -1  # last event's clock index; 0 is the horizon
 
     while True:
-        alloc = tables[m].get(mask) or ctx.cached_allocation(x, mask, m)
+        alloc = tables[p].get(mask) or ctx.allocation(x, mask, p)
         if alloc is not xi:
             xi = alloc
             hx, wy = sum(map(mul, h, x)), sum(map(mul, y, x))
@@ -398,8 +374,20 @@ def _simulate(
             wy += y[i]
             mask |= 1 << i
             clock[e] = t + arr_next[i]()
-        if threshold:
-            m = modes[bisect_right(cuts, wy * inv_sqrt_n)]
+        if switching:
+            p = bisect_right(cuts, wy * inv_sqrt_n)
+
+
+def _run_horizon(inst: PssInstance, n: int, horizon: float | None) -> float:
+    """Check a run's n and horizon before any stream is drawn; the horizon
+    defaults to 12 / gamma. An infinite horizon would never end the loop."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if horizon is None:
+        horizon = 12.0 / inst.gamma
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError("horizon must be a finite nonnegative number")
+    return horizon
 
 
 def run_qcp(
@@ -412,12 +400,7 @@ def run_qcp(
     rep: int = 0,
 ) -> QcpTrace:
     """Simulate one replication and record the full event trace."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if horizon is None:
-        horizon = 12.0 / inst.gamma
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    horizon = _run_horizon(inst, n, horizon)
     # Rows come as one flat float64 buffer, (t, x, arrivals, departures,
     # busy, alloc) per event, freed once split; counts are exact in float64.
     ni, nj = inst.num_classes, inst.num_activities
@@ -598,8 +581,7 @@ def estimate_qcp_cost(
     """
     if n_reps < 2:
         raise ValueError("n_reps must be at least 2")
-    if horizon is None:
-        horizon = 12.0 / inst.gamma
+    horizon = _run_horizon(inst, n, horizon)
     tasks = [(inst, analysis, n, policy, horizon, seed, rep) for rep in range(n_reps)]
     with _worker_pool() as pool:
         results = list((pool.map if pool else map)(_rep_cost, tasks))

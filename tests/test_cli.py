@@ -7,7 +7,9 @@ import os
 import pytest
 
 from conftest import INSTANCES
-from psslab.cli import main
+from psslab.cli import _parse_policy, main
+from psslab.hjb import extract_policy, solve_hjb
+from psslab.qcp import PolicySpec
 
 
 def run(capsys, *argv):
@@ -329,3 +331,34 @@ def test_bad_options_exit_10(capsys, monkeypatch, argv, env):
     code, out, err = run(capsys, *argv[:1], "--instance", path_of("mm1"), *argv[1:])
     assert code == 10
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["sim-qcp", "verify-bound"])
+@pytest.mark.parametrize(
+    "policy",
+    ["static:0:junk", "threshold:foo", "priority:wc", "static:0:wc:wc", "static:-1", "static:01", "wc"],
+)
+def test_policy_grammar_is_strict(capsys, command, policy):
+    # verify-bound checks every --policy, not just the first.
+    first = ["--policy", "threshold"] if command == "verify-bound" else ["--n", "4"]
+    code, out, err = run(
+        capsys, command, "--instance", path_of("mm1"), *first, "--policy", policy
+    )
+    assert code == 10
+    assert out == "" and err.startswith("error: unknown policy")
+
+
+def test_policy_labels_round_trip(get_instance, get_analysis):
+    inst, an = get_instance("example_a2"), get_analysis("example_a2")
+    solution = solve_hjb(an.coefficients, inst.gamma)
+    specs = [
+        PolicySpec.static_mode(m, work_conserving=wc) for m in range(len(an.modes)) for wc in (False, True)
+    ] + [
+        PolicySpec.workload_threshold(extract_policy(solution), work_conserving=wc) for wc in (False, True)
+    ] + [PolicySpec.server_priority(inst.server_activities)]
+    assert sorted(s.label for s in specs) == [
+        "priority", "static:0", "static:0:wc", "static:1", "static:1:wc", "threshold", "threshold:wc"
+    ]
+    for spec in specs:
+        parsed = _parse_policy(spec.label, an, lambda: solution)
+        assert (parsed.selector, parsed.rules, parsed.label) == (spec.selector, spec.rules, spec.label)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,12 +17,12 @@ from psslab.qcp import (
     MinimumNError,
     PolicySpec,
     _simulate,
+    allocate,
     check_trace_inequalities,
     compute_scaled,
     effective_rates,
     estimate_qcp_cost,
     identity_residual_exact,
-    policy_allocation,
     renewal_stream,
     run_qcp,
     verify_lower_bound,
@@ -90,13 +91,20 @@ def test_renewal_stream_across_buffer_refill():
 ALL_PASS = ("example_a", "example_a1", "example_a2", "example_b", "example_c", "example_e", "mm1")
 
 
+def _fresh_allocation(policy, x, w_hat, an):
+    """The allocation at state (x, w_hat), built from scratch."""
+    p = bisect_right(policy.selector.thresholds, w_hat)
+    xi = [float(v) for v in an.modes[policy.selector.modes[p]].xi]
+    return allocate(policy.rules[p], xi, list(x), an.instance)
+
+
 @st.composite
 def allocation_cases(draw, get_instance, get_analysis):
     name = draw(st.sampled_from(ALL_PASS))
     inst, an = get_instance(name), get_analysis(name)
     x = draw(st.lists(st.integers(0, 3), min_size=inst.num_classes, max_size=inst.num_classes))
     w_hat = draw(st.floats(0.0, 20.0))
-    kind = draw(st.sampled_from(["static", "threshold", "priority"]))
+    kind = draw(st.sampled_from(["static", "threshold", "priority", "switching orders"]))
     wc = draw(st.booleans())
     mode = st.integers(0, len(an.modes) - 1)
     if kind == "static":
@@ -105,9 +113,17 @@ def allocation_cases(draw, get_instance, get_analysis):
         cuts = sorted(draw(st.sets(st.floats(0.0, 20.0), max_size=3)))
         modes = draw(st.lists(mode, min_size=len(cuts) + 1, max_size=len(cuts) + 1))
         policy = PolicySpec.workload_threshold(ModePolicy(tuple(cuts), tuple(modes)), wc)
-    else:
+    elif kind == "priority":
         orders = tuple(draw(st.permutations(acts)) for acts in inst.server_activities)
         policy = PolicySpec.server_priority(orders)
+    else:
+        # A different priority order on each interval of a switching selector.
+        cuts = sorted(draw(st.sets(st.floats(0.0, 20.0), min_size=1, max_size=3)))
+        rules = tuple(
+            tuple(tuple(draw(st.permutations(acts))) for acts in inst.server_activities)
+            for _ in range(len(cuts) + 1)
+        )
+        policy = PolicySpec(ModePolicy(tuple(cuts), (0,) * len(rules)), rules, "orders")
     return inst, an, x, w_hat, policy
 
 
@@ -116,51 +132,62 @@ def allocation_cases(draw, get_instance, get_analysis):
 def test_allocation_admissible_and_cache_exact(get_instance, get_analysis, data):
     inst, an, x, w_hat, policy = data.draw(allocation_cases(get_instance, get_analysis))
     assert an.assumptions.all_pass
-    alloc = policy_allocation(policy, x, w_hat, an)
+    alloc = _fresh_allocation(policy, x, w_hat, an)
     assert all(a >= 0.0 for a in alloc)
     for j, act in enumerate(inst.activities):
         if alloc[j] > 0.0:
             assert x[act.class_index - 1] >= 1
     for acts in inst.server_activities:
         assert sum(alloc[j] for j in acts) <= 1.0 + 1e-12
-    # The kernel looks allocations up by (backlog mask, mode). Fill the
-    # cache from the empty state and from another state with x's key,
-    # then read it at x.
+    # An orders rule gives each server's whole effort to its first
+    # backlogged activity in the order of the interval in force.
+    p = bisect_right(policy.selector.thresholds, w_hat)
+    if isinstance(policy.rules[p], tuple):
+        for order in policy.rules[p]:
+            live = [j for j in order if x[inst.activities[j].class_index - 1] >= 1]
+            assert [alloc[j] for j in order] == [float(j == live[0]) if live else 0.0 for j in order]
+    # The kernel looks allocations up by (backlog mask, selector interval).
+    # Fill the cache from the empty state and from another state with x's
+    # key, then read it at x.
     ctx = _Context(an, policy)
     mask = sum(1 << i for i, v in enumerate(x) if v >= 1)
-    m = ctx.mode_at(w_hat)
-    ctx.cached_allocation([0] * len(x), 0, m)
-    ctx.cached_allocation([min(v, 1) for v in x], mask, m)
-    cached = ctx.cached_allocation(x, mask, m)
+    ctx.allocation([0] * len(x), 0, p)
+    ctx.allocation([min(v, 1) for v in x], mask, p)
+    cached = ctx.allocation(x, mask, p)
     assert cached == alloc
-    assert ctx.cached_allocation([max(v, 2) if v else 0 for v in x], mask, m) is cached
+    assert ctx.allocation([max(v, 2) if v else 0 for v in x], mask, p) is cached
 
 
-@pytest.mark.parametrize("label", ["static:1:wc", "threshold", "priority"])
+@pytest.mark.parametrize("label", ["static:1:wc", "threshold", "priority", "orders"])
 def test_recorded_allocations_match_fresh_fill(get_instance, get_analysis, label):
     inst, an = get_instance("example_a2"), get_analysis("example_a2")
-    policy = _pinned_policy(inst, an, label)
+    if label == "orders":
+        below = tuple(inst.server_activities)
+        above = tuple(order[::-1] for order in below)
+        policy = PolicySpec(ModePolicy((0.36,), (0, 0)), (below, above), label)
+    else:
+        policy = _pinned_policy(inst, an, label)
     trace = run_qcp(inst, an, 25, policy, horizon=1.0, seed=6)
     y = [float(v) for v in an.dual.y]
     for x, alloc in zip(trace.x.tolist(), trace.alloc.tolist()):
         w_hat = sum(yi * xi for yi, xi in zip(y, x)) * (1.0 / math.sqrt(25))
-        assert tuple(alloc) == policy_allocation(policy, x, w_hat, an)
+        assert tuple(alloc) == _fresh_allocation(policy, x, w_hat, an)
 
 
 def test_work_conserving_reallocation(get_analysis):
     an = get_analysis("example_a")
     # Mode 1 is (1, 1/2, 0, 1/2); with class 1 empty the plain rule idles
     # most of both servers while the conserving one fills them via class 2.
-    plain = policy_allocation(PolicySpec.static_mode(1), (0, 5), 0.0, an)
+    plain = _fresh_allocation(PolicySpec.static_mode(1), (0, 5), 0.0, an)
     assert plain == (0.0, 0.0, 0.0, 0.5)
-    wc = policy_allocation(PolicySpec.static_mode(1, work_conserving=True), (0, 5), 0.0, an)
+    wc = _fresh_allocation(PolicySpec.static_mode(1, work_conserving=True), (0, 5), 0.0, an)
     assert wc == (0.0, 0.0, 1.0, 1.0)
     # Both classes backlogged: the mode passes through unchanged.
-    assert policy_allocation(
+    assert _fresh_allocation(
         PolicySpec.static_mode(1, work_conserving=True), (3, 3), 0.0, an
     ) == (1.0, 0.5, 0.0, 0.5)
     # Nothing to serve: everything idles.
-    assert policy_allocation(
+    assert _fresh_allocation(
         PolicySpec.static_mode(1, work_conserving=True), (0, 0), 0.0, an
     ) == (0.0, 0.0, 0.0, 0.0)
 
@@ -168,25 +195,25 @@ def test_work_conserving_reallocation(get_analysis):
 def test_priority_allocation(get_analysis):
     an = get_analysis("example_a")
     spec = PolicySpec.server_priority(((0, 2), (3, 1)))
-    assert policy_allocation(spec, (2, 2), 0.0, an) == (1.0, 0.0, 0.0, 1.0)
-    assert policy_allocation(spec, (0, 2), 0.0, an) == (0.0, 0.0, 1.0, 1.0)
-    assert policy_allocation(spec, (0, 0), 0.0, an) == (0.0, 0.0, 0.0, 0.0)
+    assert _fresh_allocation(spec, (2, 2), 0.0, an) == (1.0, 0.0, 0.0, 1.0)
+    assert _fresh_allocation(spec, (0, 2), 0.0, an) == (0.0, 0.0, 1.0, 1.0)
+    assert _fresh_allocation(spec, (0, 0), 0.0, an) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_policy_validation(get_analysis):
     an = get_analysis("example_a")
+    # Checked against the analysis: mode indices and per-server orders.
     with pytest.raises(ValueError):
-        policy_allocation(PolicySpec.static_mode(5), (1, 1), 0.0, an)
+        _Context(an, PolicySpec.static_mode(5))
     with pytest.raises(ValueError):
-        policy_allocation(PolicySpec(kind="threshold"), (1, 1), 0.0, an)
+        _Context(an, PolicySpec.workload_threshold(ModePolicy.constant(9)))
     with pytest.raises(ValueError):
-        policy_allocation(
-            PolicySpec.workload_threshold(ModePolicy.constant(9)), (1, 1), 0.0, an
-        )
-    with pytest.raises(ValueError):
-        policy_allocation(PolicySpec.server_priority(((0, 1), (2, 3))), (1, 1), 0.0, an)
-    with pytest.raises(ValueError):
-        policy_allocation(PolicySpec(kind="mystery"), (1, 1), 0.0, an)
+        _Context(an, PolicySpec.server_priority(((0, 1), (2, 3))))
+    # Checked on construction: one known rule per selector interval.
+    with pytest.raises(ValueError, match="one rule per selector interval"):
+        PolicySpec(ModePolicy((1.0,), (0, 1)), ("xi",), "threshold")
+    with pytest.raises(ValueError, match="unknown allocation rule"):
+        PolicySpec(ModePolicy.constant(0), ("mystery",), "mystery")
 
 
 def test_policy_labels():
@@ -194,6 +221,18 @@ def test_policy_labels():
     assert PolicySpec.static_mode(2, work_conserving=True).label == "static:2:wc"
     assert PolicySpec.workload_threshold(ModePolicy.constant(0)).label == "threshold"
     assert PolicySpec.server_priority(((0,),)).label == "priority"
+
+
+@pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf])
+def test_run_arguments_checked(get_instance, get_analysis, horizon):
+    inst, an = get_instance("mm1"), get_analysis("mm1")
+    policy = PolicySpec.static_mode(0)
+    with pytest.raises(ValueError, match="horizon"):
+        run_qcp(inst, an, 25, policy, horizon=horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        estimate_qcp_cost(inst, an, 25, policy, 2, horizon=horizon)
+    with pytest.raises(ValueError, match="n must be"):
+        estimate_qcp_cost(inst, an, 0, policy, 2, horizon=1.0)
 
 
 def test_trace_conservation_and_admissibility(get_instance, get_analysis):
