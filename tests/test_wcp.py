@@ -166,6 +166,43 @@ def test_plain_scheme_paths_pinned(seed, label):
     assert sha.hexdigest() == PLAIN_PATH_SHA256[seed, label]
 
 
+# Bridge-scheme pins: repr of the estimate's mean and half width, and the
+# sha256 of one recorded path. 1300 steps are two full noise chunks and a
+# short one.
+BRIDGE_PINS = {
+    "threshold:2": (
+        "1.0509545770254551",
+        "0.05934401044906681",
+        "2746ac427648f3b770db26f5a59766bd71e1d6ae141a1f3b6fc7a9758b9d55b8",
+    ),
+    "static:1": (
+        "1.0898400631264444",
+        "0.062225706431381526",
+        "ccb47ffd110e6aea758ffa65f463cccc32a13cf9215b28d3a67d313fab9b5e24",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BRIDGE_PINS))
+def test_bridge_scheme_pinned(label):
+    pol = {
+        "threshold:2": ModePolicy(thresholds=(0.2, 0.5), modes=(1, 0, 1)),
+        "static:1": ModePolicy.constant(1),
+    }[label]
+    coef = ((-0.05, 0.3), (-0.15, 0.45))
+    est = estimate_wcp_cost(
+        pol, coef, gamma=0.5, z0=0.25, step=1e-2, horizon=13.0, n_paths=300, seed=21
+    )
+    path = simulate_wcp(pol, coef, 0.25, 1e-2, 13.0, seed=21, path_id=5)
+    sha = hashlib.sha256()
+    for arr in (path.times, path.values, path.local_time, path.mode_trace):
+        sha.update(arr.tobytes())
+    assert (repr(est.mean), repr(est.half_width_95), sha.hexdigest()) == BRIDGE_PINS[label]
+    if label == "threshold:2":
+        # The path visits all three intervals.
+        assert set(np.searchsorted(pol.thresholds, path.values, side="right")) == {0, 1, 2}
+
+
 def test_tail_bound_decreases_with_horizon():
     coef = ((-0.1, 0.4), (0.2, 1.0))
     bounds = [discounted_tail_bound(coef, 1.0, 0.5, t) for t in (5.0, 10.0, 20.0)]
