@@ -437,7 +437,14 @@ def cmd_sim_qcp(args: argparse.Namespace) -> int:
         with _stage(stages, "qcp"):
             estimate = _estimate_doc(
                 estimate_qcp_cost(
-                    inst, analysis, args.n, policy, args.reps, horizon=args.horizon, seed=args.seed
+                    inst,
+                    analysis,
+                    args.n,
+                    policy,
+                    args.reps,
+                    horizon=args.horizon,
+                    seed=args.seed,
+                    rep0=trace,
                 )
             )
     doc = {

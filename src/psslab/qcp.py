@@ -144,6 +144,8 @@ class QcpTrace:
     departures: np.ndarray  # (E, J)
     busy: np.ndarray  # (E, J) cumulative allocated effort T_j
     alloc: np.ndarray  # (E, J) allocation in force until the next row
+    cost: float  # this replication's discounted holding cost
+    h_horizon: float  # scaled holding cost h.Xhat at the horizon
 
 
 @dataclass(frozen=True)
@@ -404,11 +406,12 @@ def run_qcp(
     # Rows come as one flat float64 buffer, (t, x, arrivals, departures,
     # busy, alloc) per event, freed once split; counts are exact in float64.
     ni, nj = inst.num_classes, inst.num_activities
-    data = np.frombuffer(_simulate(inst, analysis, n, policy, horizon, seed, rep, record=True)[0])
+    rows, cost, h_horizon = _simulate(inst, analysis, n, policy, horizon, seed, rep, record=True)
+    data = np.frombuffer(rows)
     cols = np.split(data.reshape(-1, 1 + 2 * ni + 3 * nj), np.cumsum([1, ni, ni, nj, nj]), axis=1)
     t, x, a, d, busy, alloc = (np.ascontiguousarray(c) for c in cols)
     counts = (c.astype(np.int64) for c in (x, a, d))
-    return QcpTrace(n, horizon, t.ravel(), *counts, busy, alloc)
+    return QcpTrace(n, horizon, t.ravel(), *counts, busy, alloc, cost, h_horizon)
 
 
 def _doubled_grid(trace: QcpTrace):
@@ -571,20 +574,26 @@ def estimate_qcp_cost(
     n_reps: int,
     horizon: float | None = None,
     seed: int = 0,
+    rep0: QcpTrace | None = None,
 ) -> McEstimate:
     """Monte Carlo discounted holding cost of the scaled state.
 
     The per-replication integral of exp(-gamma t) h.Xhat is evaluated
     exactly between events. Replication r draws from streams keyed by
     (seed, r), so estimates do not depend on scheduling; PSS_THREADS
-    enables a process pool over replications (see _worker_pool).
+    enables a process pool over replications (see _worker_pool). rep0, a
+    run_qcp trace of replication 0 with the same arguments, supplies that
+    replication's cost, which is then not simulated again.
     """
     if n_reps < 2:
         raise ValueError("n_reps must be at least 2")
     horizon = _run_horizon(inst, n, horizon)
-    tasks = [(inst, analysis, n, policy, horizon, seed, rep) for rep in range(n_reps)]
+    if rep0 is not None and (rep0.n, rep0.horizon) != (n, horizon):
+        raise ValueError("rep0 was run with another n or horizon")
+    results = [] if rep0 is None else [(rep0.cost, rep0.h_horizon)]
+    tasks = [(inst, analysis, n, policy, horizon, seed, rep) for rep in range(len(results), n_reps)]
     with _worker_pool() as pool:
-        results = list((pool.map if pool else map)(_rep_cost, tasks))
+        results += (pool.map if pool else map)(_rep_cost, tasks)
     costs = np.array([r[0] for r in results])
     tail_h = float(np.mean([r[1] for r in results]))
     mean = float(np.mean(costs))

@@ -27,6 +27,14 @@ each path's noise _CHUNK steps at a time, so memory is O(batch x chunk)
 whatever the horizon, and a path depends only on (seed, path_id), not on
 the batch width, the chunk length or scheduling. simulate_wcp is that
 kernel at width one with its lane recorded.
+
+The noise buffers are step-major, (chunk, batch): each path draws its
+chunk into a row of a small lane-major scratch, which is copied in
+transposed, so a step reads its noise as contiguous rows. A step finds
+each path's policy interval with one comparison per threshold (a binary
+search past _MAX_COMPARE thresholds), which counts the thresholds <= z
+exactly as a sorted search would, ties included, and gathers that
+interval's coefficients with one take.
 """
 
 from __future__ import annotations
@@ -83,6 +91,8 @@ def skorokhod_map(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _CHUNK = 512  # time steps of noise drawn per path at a time
 _BATCH = 2048  # paths advanced together by estimate_wcp_cost
+_BLOCK = 128  # lanes per transposed copy into the step-major noise buffers
+_MAX_COMPARE = 8  # thresholds up to which intervals are found by comparisons
 
 
 def _n_steps(step: float, horizon: float) -> int:
@@ -96,8 +106,66 @@ def _n_steps(step: float, horizon: float) -> int:
 def _path_streams(seed: int, path_id: int, bridge: bool):
     """Generators of one path: its Euler normals, and for the bridge
     scheme the exponentials of its within-step minima (else None)."""
-    bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(path_id,)))
-    return np.random.Generator(bits), np.random.Generator(bits.jumped()) if bridge else None
+    seq = np.random.SeedSequence(seed, spawn_key=(path_id,))
+    normals = np.random.Generator(np.random.Philox(seq))
+    if not bridge:
+        return normals, None
+    # The state of Philox(seq).jumped(), without jumped()'s detour through
+    # a generator seeded from OS entropy.
+    ahead = np.random.Philox(seq)
+    ahead.advance(2**128)
+    return normals, np.random.Generator(ahead)
+
+
+def _interval_lookup(thresholds, width):
+    """A function of z (width values) that returns the index of the policy
+    interval holding each z: the number of thresholds <= z, which is
+    np.searchsorted(thresholds, z, side="right"), ties included. The
+    returned array is overwritten by the next call.
+
+    Up to _MAX_COMPARE thresholds it makes one comparison per threshold,
+    with no search and no cast: the first comparison writes its booleans
+    straight into the bytes of the uint8 result. Beyond that a binary
+    search is cheaper.
+    """
+    thr = np.asarray(thresholds, dtype=float)
+    idx = np.zeros(width, dtype=np.uint8)
+    if not thr.size:
+        return lambda z: idx
+    if thr.size > _MAX_COMPARE:
+        return lambda z: thr.searchsorted(z, side="right")
+    first, *rest = thr.tolist()
+    low, hit = idx.view(np.bool_), np.empty(width, dtype=np.bool_)
+
+    def lookup(z):
+        np.greater_equal(z, first, out=low)
+        for t in rest:
+            np.add(idx, np.greater_equal(z, t, out=hit), out=idx)
+        return idx
+
+    return lookup
+
+
+def _fill_noise(streams, n, normals, expo, scratch):
+    """Draw the next n steps of noise of every lane into rows :n of the
+    step-major buffers normals and expo (expo None for the plain scheme).
+
+    Each lane fills its own row of the lane-major scratch with one call per
+    stream; the scratch is then copied in transposed, len(scratch) lanes
+    at a time.
+    """
+    block = len(scratch)
+    for l0 in range(0, len(streams), block):
+        lanes = streams[l0 : l0 + block]
+        cols = slice(l0, l0 + len(lanes))
+        rows = scratch[: len(lanes), :n]
+        for row, (gen_n, _) in zip(rows, lanes):
+            gen_n.standard_normal(out=row)
+        normals[:n, cols] = rows.T
+        if expo is not None:
+            for row, (_, gen_e) in zip(rows, lanes):
+                gen_e.standard_exponential(out=row)
+            expo[:n, cols] = rows.T
 
 
 def _steps(policy, coefficients, z0, step, n_steps, seed, path_ids, bridge):
@@ -105,9 +173,12 @@ def _steps(policy, coefficients, z0, step, n_steps, seed, path_ids, bridge):
 
     Yields (z, eta), the reflected state and the local time after each
     step; the arrays are overwritten by the next step. Noise is drawn
-    _CHUNK steps at a time per path, so memory does not grow with n_steps.
+    _CHUNK steps at a time per path into step-major buffers, so step k
+    reads one contiguous row and memory does not grow with n_steps. Each
+    step looks up its per-lane coefficients by the interval of z, found
+    by comparisons against the thresholds (_interval_lookup).
     """
-    thr = np.asarray(policy.thresholds, dtype=float)
+    switching = bool(policy.thresholds)
     b, s2 = np.array([coefficients[m] for m in policy.modes], dtype=float).T
     # Per interval: the drift and the noise scale of one step, and the
     # 2 s^2 dt of its bridge minimum.
@@ -115,31 +186,30 @@ def _steps(policy, coefficients, z0, step, n_steps, seed, path_ids, bridge):
 
     width = len(path_ids)
     streams = [_path_streams(seed, p, bridge) for p in path_ids]
-    normals = np.empty((width, _CHUNK))
-    expo = np.empty((width, _CHUNK)) if bridge else None
+    normals = np.empty((_CHUNK, width))
+    expo = np.empty((_CHUNK, width)) if bridge else None
+    scratch = np.empty((min(width, _BLOCK), _CHUNK))
     psi = np.full(width, float(z0))
     eta = np.zeros(width)
     z = psi.copy()
     dpsi, tmp, tmp2 = np.empty(width), np.empty(width), np.empty(width)
+    interval_of = _interval_lookup(policy.thresholds, width)
     coef = np.repeat(table[:, :1], width, axis=1)
     bk, sk, gk = coef
     for c0 in range(0, n_steps, _CHUNK):
         n = min(_CHUNK, n_steps - c0)
-        for lane, (gen_n, gen_e) in enumerate(streams):
-            gen_n.standard_normal(out=normals[lane, :n])
-            if bridge:
-                gen_e.standard_exponential(out=expo[lane, :n])
+        _fill_noise(streams, n, normals, expo, scratch)
         for k in range(n):
-            if thr.size:
-                table.take(thr.searchsorted(z, side="right"), axis=1, out=coef)
-            np.multiply(sk, normals[:, k], out=dpsi)
+            if switching:
+                table.take(interval_of(z), axis=1, out=coef, mode="clip")
+            np.multiply(sk, normals[k], out=dpsi)
             dpsi += bk
             if bridge:
                 # Closed-form minimum of the Brownian bridge between the step
                 # endpoints, psi + (dpsi - sqrt(dpsi^2 + 2 s^2 dt E)) / 2 with
                 # E ~ Exp(1); exact in law for coefficients frozen over the step.
                 np.multiply(dpsi, dpsi, out=tmp)
-                np.multiply(gk, expo[:, k], out=tmp2)
+                np.multiply(gk, expo[k], out=tmp2)
                 tmp += tmp2
                 np.sqrt(tmp, out=tmp)
                 tmp -= dpsi

@@ -7,9 +7,11 @@ import os
 import pytest
 
 from conftest import INSTANCES
-from psslab.cli import _parse_policy, main
+from psslab.cli import _estimate_doc, _parse_policy, main
 from psslab.hjb import extract_policy, solve_hjb
-from psslab.qcp import PolicySpec
+from psslab.lp import analyze
+from psslab.model import load_instance
+from psslab.qcp import PolicySpec, estimate_qcp_cost
 
 
 def run(capsys, *argv):
@@ -182,6 +184,31 @@ def test_sim_qcp_report_and_csv(capsys, tmp_path):
     assert rows[0] == ["t", "series", "name", "value"]
     names = {r[2] for r in rows[1:]}
     assert names == {"w", "f", "l", "l_an", "h", "x_hat[1]", "i_hat[1]"}
+
+
+def test_sim_qcp_estimate_equals_estimate_qcp_cost(capsys):
+    # sim-qcp reuses its recorded run as replication 0 of the estimate.
+    code, out, _ = run(
+        capsys,
+        "sim-qcp",
+        "--instance",
+        path_of("example_a2"),
+        "--n",
+        "16",
+        "--policy",
+        "static:1",
+        "--horizon",
+        "2",
+        "--reps",
+        "3",
+        "--seed",
+        "8",
+    )
+    assert code == 0
+    inst = load_instance(open(path_of("example_a2"), "rb").read())
+    an = analyze(inst)
+    est = estimate_qcp_cost(inst, an, 16, PolicySpec.static_mode(1), 3, horizon=2.0, seed=8)
+    assert doc_of(out)["estimate"] == _estimate_doc(est)
 
 
 def test_sim_qcp_wide_csv(capsys, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psslab as ps
+from psslab import qcp
 from psslab.hjb import ModePolicy
 from psslab.qcp import (
     _Context,
@@ -167,11 +168,15 @@ def test_recorded_allocations_match_fresh_fill(get_instance, get_analysis, label
         policy = PolicySpec(ModePolicy((0.36,), (0, 0)), (below, above), label)
     else:
         policy = _pinned_policy(inst, an, label)
-    trace = run_qcp(inst, an, 25, policy, horizon=1.0, seed=6)
+    # Seed 7 takes W-hat past 0.36 in 66 of 441 rows.
+    trace = run_qcp(inst, an, 25, policy, horizon=1.0, seed=7)
     y = [float(v) for v in an.dual.y]
+    intervals = set()
     for x, alloc in zip(trace.x.tolist(), trace.alloc.tolist()):
         w_hat = sum(yi * xi for yi, xi in zip(y, x)) * (1.0 / math.sqrt(25))
         assert tuple(alloc) == _fresh_allocation(policy, x, w_hat, an)
+        intervals.add(bisect_right(policy.selector.thresholds, w_hat))
+    assert intervals == ({0, 1} if policy.selector.thresholds else {0})
 
 
 def test_work_conserving_reallocation(get_analysis):
@@ -324,6 +329,22 @@ def test_trace_reproducible_across_calls(get_instance, get_analysis):
     assert np.array_equal(t1.times, t2.times)
     assert np.array_equal(t1.x, t2.x)
     assert not np.array_equal(t1.times, t3.times)
+
+
+def test_cost_estimate_reuses_recorded_rep0(get_instance, get_analysis, monkeypatch):
+    monkeypatch.delenv("PSS_THREADS", raising=False)
+    inst, an = get_instance("example_a2"), get_analysis("example_a2")
+    pol = _pinned_policy(inst, an, "threshold")
+    trace = run_qcp(inst, an, 25, pol, horizon=3.0, seed=4, rep=0)
+    assert (trace.cost, trace.h_horizon) == _simulate(inst, an, 25, pol, 3.0, 4, 0, False)[1:]
+    ref = estimate_qcp_cost(inst, an, 25, pol, 5, horizon=3.0, seed=4)
+    simulated = []
+    rep_cost = qcp._rep_cost
+    monkeypatch.setattr(qcp, "_rep_cost", lambda args: simulated.append(args[-1]) or rep_cost(args))
+    assert estimate_qcp_cost(inst, an, 25, pol, 5, horizon=3.0, seed=4, rep0=trace) == ref
+    assert simulated == [1, 2, 3, 4]
+    with pytest.raises(ValueError, match="rep0"):
+        estimate_qcp_cost(inst, an, 25, pol, 5, horizon=2.0, seed=4, rep0=trace)
 
 
 def test_cost_estimate_reproducible_and_thread_invariant(get_instance, get_analysis, monkeypatch):

@@ -75,16 +75,25 @@ def test_plain_scheme_equals_reflected_free_path():
     assert np.array_equal(path.local_time, eta)
 
 
+def test_exponential_stream_is_the_jumped_normal_stream():
+    for seed, path_id in ((0, 0), (9, 4), (21, 2047)):
+        gen_n, gen_e = _path_streams(seed, path_id, bridge=True)
+        bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(path_id,)))
+        # The states hold short arrays, which repr prints in full.
+        assert repr(gen_n.bit_generator.state) == repr(bits.state)
+        assert repr(gen_e.bit_generator.state) == repr(bits.jumped().state)
+
+
 def test_reflected_brownian_motion_mean():
     # Driftless unit-variance reflection from zero: E Z_1 = sqrt(2/pi).
-    vals = np.array(
-        [
-            simulate_wcp(
-                ModePolicy.constant(0), ((0.0, 1.0),), 0.0, 1e-3, 1.0, seed=5, path_id=p
-            ).values[-1]
-            for p in range(400)
-        ]
-    )
+    # Lanes 0-399 of one batch are the paths simulate_wcp gives for those ids.
+    lanes = wcp._steps(ModePolicy.constant(0), ((0.0, 1.0),), 0.0, 1e-3, 1000, 5, range(400), True)
+    for z, _ in lanes:
+        pass
+    vals = z.copy()
+    assert vals[7] == simulate_wcp(
+        ModePolicy.constant(0), ((0.0, 1.0),), 0.0, 1e-3, 1.0, seed=5, path_id=7
+    ).values[-1]
     target = math.sqrt(2.0 / math.pi)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(np.mean(vals) - target) <= 3.0 * se
@@ -111,14 +120,16 @@ def test_cost_estimate_matches_closed_form_value():
 
 
 def test_cost_estimate_independent_of_batch_layout(monkeypatch):
-    # 250 steps: several chunks of 37 with a short last one, or one short chunk.
+    # 250 steps: several chunks of 37 with a short last one, or one short
+    # chunk; lanes copied in blocks of 5, or of 128 with a short last block.
     pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
     coef = ((-0.1, 0.8), (0.1, 0.5))
     kw = dict(gamma=1.0, step=1e-2, horizon=2.5, n_paths=300, seed=12)
     monkeypatch.setattr(wcp, "_BATCH", 300)
     ref = estimate_wcp_cost(pol, coef, **kw)
-    for chunk in (37, wcp._CHUNK):
+    for chunk, block in ((37, 5), (wcp._CHUNK, wcp._BLOCK)):
         monkeypatch.setattr(wcp, "_CHUNK", chunk)
+        monkeypatch.setattr(wcp, "_BLOCK", block)
         for batch in (1, 7, 300):
             monkeypatch.setattr(wcp, "_BATCH", batch)
             est = estimate_wcp_cost(pol, coef, **kw)
@@ -166,9 +177,10 @@ def test_plain_scheme_paths_pinned(seed, label):
     assert sha.hexdigest() == PLAIN_PATH_SHA256[seed, label]
 
 
-# Bridge-scheme pins: repr of the estimate's mean and half width, and the
-# sha256 of one recorded path. 1300 steps are two full noise chunks and a
-# short one.
+# Bridge-scheme pins, recorded before the step-major kernel: repr of the
+# estimate's mean and half width, and the sha256 of one recorded path.
+# 1300 steps are two full noise chunks and a short one; 300 paths span three
+# transposed-copy blocks.
 BRIDGE_PINS = {
     "threshold:2": (
         "1.0509545770254551",
@@ -201,6 +213,26 @@ def test_bridge_scheme_pinned(label):
     if label == "threshold:2":
         # The path visits all three intervals.
         assert set(np.searchsorted(pol.thresholds, path.values, side="right")) == {0, 1, 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 4.0), max_size=wcp._MAX_COMPARE + 2, unique=True).map(sorted),
+    st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40),
+    st.data(),
+)
+def test_interval_lookup_matches_searchsorted(thresholds, values, data):
+    # Some z sit exactly on a threshold: a tie counts as above it. Past
+    # _MAX_COMPARE thresholds the lookup is a binary search.
+    z = np.array(values + [data.draw(st.sampled_from(thresholds)) for _ in thresholds[:3]])
+    lookup = wcp._interval_lookup(tuple(thresholds), len(z))
+    idx = lookup(z)
+    assert np.array_equal(idx, np.searchsorted(np.asarray(thresholds), z, side="right"))
+    pol = ModePolicy(thresholds=tuple(thresholds), modes=tuple(range(len(thresholds) + 1)))
+    assert np.array_equal(np.asarray(pol.modes)[idx], pol.mode_of(z))
+    # A second call overwrites the first result.
+    zeros = np.zeros(len(z))
+    assert np.array_equal(lookup(zeros), np.searchsorted(thresholds, zeros, side="right"))
 
 
 def test_tail_bound_decreases_with_horizon():
