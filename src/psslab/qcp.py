@@ -146,6 +146,10 @@ class QcpTrace:
     alloc: np.ndarray  # (E, J) allocation in force until the next row
     cost: float  # this replication's discounted holding cost
     h_horizon: float  # scaled holding cost h.Xhat at the horizon
+    inst: PssInstance  # the run's instance, policy and streams
+    policy: PolicySpec
+    seed: int
+    rep: int
 
 
 @dataclass(frozen=True)
@@ -411,7 +415,9 @@ def run_qcp(
     cols = np.split(data.reshape(-1, 1 + 2 * ni + 3 * nj), np.cumsum([1, ni, ni, nj, nj]), axis=1)
     t, x, a, d, busy, alloc = (np.ascontiguousarray(c) for c in cols)
     counts = (c.astype(np.int64) for c in (x, a, d))
-    return QcpTrace(n, horizon, t.ravel(), *counts, busy, alloc, cost, h_horizon)
+    return QcpTrace(
+        n, horizon, t.ravel(), *counts, busy, alloc, cost, h_horizon, inst, policy, seed, rep
+    )
 
 
 def _doubled_grid(trace: QcpTrace):
@@ -582,14 +588,17 @@ def estimate_qcp_cost(
     exactly between events. Replication r draws from streams keyed by
     (seed, r), so estimates do not depend on scheduling; PSS_THREADS
     enables a process pool over replications (see _worker_pool). rep0, a
-    run_qcp trace of replication 0 with the same arguments, supplies that
-    replication's cost, which is then not simulated again.
+    run_qcp trace of replication 0 of this run (same instance, n, policy,
+    horizon and seed), supplies that replication's cost, which is then not
+    simulated again.
     """
     if n_reps < 2:
         raise ValueError("n_reps must be at least 2")
     horizon = _run_horizon(inst, n, horizon)
-    if rep0 is not None and (rep0.n, rep0.horizon) != (n, horizon):
-        raise ValueError("rep0 was run with another n or horizon")
+    if rep0 is not None:
+        recorded = (rep0.inst, rep0.n, rep0.policy, rep0.horizon, rep0.seed, rep0.rep)
+        if recorded != (inst, n, policy, horizon, seed, 0):
+            raise ValueError("rep0 is not replication 0 of this run")
     results = [] if rep0 is None else [(rep0.cost, rep0.h_horizon)]
     tasks = [(inst, analysis, n, policy, horizon, seed, rep) for rep in range(len(results), n_reps)]
     with _worker_pool() as pool:

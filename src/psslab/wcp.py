@@ -31,10 +31,9 @@ kernel at width one with its lane recorded.
 The noise buffers are step-major, (chunk, batch): each path draws its
 chunk into a row of a small lane-major scratch, which is copied in
 transposed, so a step reads its noise as contiguous rows. A step finds
-each path's policy interval with one comparison per threshold (a binary
-search past _MAX_COMPARE thresholds), which counts the thresholds <= z
-exactly as a sorted search would, ties included, and gathers that
-interval's coefficients with one take.
+each path's policy interval with one comparison per threshold, which
+counts the thresholds <= z exactly as a sorted search would, ties
+included, and gathers that interval's coefficients with one take.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ def skorokhod_map(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK = 512  # time steps of noise drawn per path at a time
 _BATCH = 2048  # paths advanced together by estimate_wcp_cost
 _BLOCK = 128  # lanes per transposed copy into the step-major noise buffers
-_MAX_COMPARE = 8  # thresholds up to which intervals are found by comparisons
 
 
 def _n_steps(step: float, horizon: float) -> int:
@@ -119,26 +117,26 @@ def _path_streams(seed: int, path_id: int, bridge: bool):
 
 def _interval_lookup(thresholds, width):
     """A function of z (width values) that returns the index of the policy
-    interval holding each z: the number of thresholds <= z, which is
-    np.searchsorted(thresholds, z, side="right"), ties included. The
+    interval holding each z, or None when there are no thresholds. The
+    index is the number of thresholds <= z, which is
+    np.searchsorted(thresholds, z, side="right"), ties included; the
     returned array is overwritten by the next call.
 
-    Up to _MAX_COMPARE thresholds it makes one comparison per threshold,
-    with no search and no cast: the first comparison writes its booleans
-    straight into the bytes of the uint8 result. Beyond that a binary
-    search is cheaper.
+    It makes one comparison per threshold, with no search. The count fits
+    in a byte below 256 thresholds, and the first comparison then writes
+    its booleans straight into the bytes of the result. Thresholds are
+    0-d arrays, which a comparison takes without converting a Python
+    float on every call.
     """
-    thr = np.asarray(thresholds, dtype=float)
-    idx = np.zeros(width, dtype=np.uint8)
-    if not thr.size:
-        return lambda z: idx
-    if thr.size > _MAX_COMPARE:
-        return lambda z: thr.searchsorted(z, side="right")
-    first, *rest = thr.tolist()
-    low, hit = idx.view(np.bool_), np.empty(width, dtype=np.bool_)
+    if not thresholds:
+        return None
+    first, *rest = (np.array(float(t)) for t in thresholds)
+    idx = np.zeros(width, dtype=np.uint8 if len(thresholds) < 256 else np.intp)
+    low = idx.view(np.bool_) if idx.itemsize == 1 else idx
+    hit = np.empty(width, dtype=np.bool_)
 
     def lookup(z):
-        np.greater_equal(z, first, out=low)
+        np.greater_equal(z, first, out=low, casting="unsafe")
         for t in rest:
             np.add(idx, np.greater_equal(z, t, out=hit), out=idx)
         return idx
@@ -178,7 +176,6 @@ def _steps(policy, coefficients, z0, step, n_steps, seed, path_ids, bridge):
     step looks up its per-lane coefficients by the interval of z, found
     by comparisons against the thresholds (_interval_lookup).
     """
-    switching = bool(policy.thresholds)
     b, s2 = np.array([coefficients[m] for m in policy.modes], dtype=float).T
     # Per interval: the drift and the noise scale of one step, and the
     # 2 s^2 dt of its bridge minimum.
@@ -200,7 +197,7 @@ def _steps(policy, coefficients, z0, step, n_steps, seed, path_ids, bridge):
         n = min(_CHUNK, n_steps - c0)
         _fill_noise(streams, n, normals, expo, scratch)
         for k in range(n):
-            if switching:
+            if interval_of is not None:
                 table.take(interval_of(z), axis=1, out=coef, mode="clip")
             np.multiply(sk, normals[k], out=dpsi)
             dpsi += bk

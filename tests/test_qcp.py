@@ -3,6 +3,7 @@
 import hashlib
 import math
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -343,8 +344,20 @@ def test_cost_estimate_reuses_recorded_rep0(get_instance, get_analysis, monkeypa
     monkeypatch.setattr(qcp, "_rep_cost", lambda args: simulated.append(args[-1]) or rep_cost(args))
     assert estimate_qcp_cost(inst, an, 25, pol, 5, horizon=3.0, seed=4, rep0=trace) == ref
     assert simulated == [1, 2, 3, 4]
-    with pytest.raises(ValueError, match="rep0"):
-        estimate_qcp_cost(inst, an, 25, pol, 5, horizon=2.0, seed=4, rep0=trace)
+    # A trace of another run is refused: each argument that keys the
+    # streams or the dynamics is checked, and the replication must be 0.
+    other = [
+        (run_qcp(inst, an, 25, pol, horizon=3.0, seed=4, rep=3), {}),
+        (trace, dict(seed=5)),
+        (trace, dict(horizon=2.0)),
+        (trace, dict(n=36)),
+        (trace, dict(policy=PolicySpec.static_mode(0))),
+        (trace, dict(inst=replace(inst, gamma=inst.gamma * 2))),
+    ]
+    for rep0, change in other:
+        kw = dict(inst=inst, n=25, policy=pol, horizon=3.0, seed=4) | change
+        with pytest.raises(ValueError, match="rep0"):
+            estimate_qcp_cost(analysis=an, n_reps=5, rep0=rep0, **kw)
 
 
 def test_cost_estimate_reproducible_and_thread_invariant(get_instance, get_analysis, monkeypatch):

@@ -217,15 +217,17 @@ def test_bridge_scheme_pinned(label):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.floats(0.0, 4.0), max_size=wcp._MAX_COMPARE + 2, unique=True).map(sorted),
+    st.lists(st.floats(0.0, 4.0), max_size=3, unique=True).map(sorted),
     st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40),
     st.data(),
 )
 def test_interval_lookup_matches_searchsorted(thresholds, values, data):
-    # Some z sit exactly on a threshold: a tie counts as above it. Past
-    # _MAX_COMPARE thresholds the lookup is a binary search.
-    z = np.array(values + [data.draw(st.sampled_from(thresholds)) for _ in thresholds[:3]])
+    # Some z sit exactly on a threshold: a tie counts as above it.
+    z = np.array(values + [data.draw(st.sampled_from(thresholds)) for _ in thresholds])
     lookup = wcp._interval_lookup(tuple(thresholds), len(z))
+    if not thresholds:
+        assert lookup is None
+        return
     idx = lookup(z)
     assert np.array_equal(idx, np.searchsorted(np.asarray(thresholds), z, side="right"))
     pol = ModePolicy(thresholds=tuple(thresholds), modes=tuple(range(len(thresholds) + 1)))
@@ -233,6 +235,15 @@ def test_interval_lookup_matches_searchsorted(thresholds, values, data):
     # A second call overwrites the first result.
     zeros = np.zeros(len(z))
     assert np.array_equal(lookup(zeros), np.searchsorted(thresholds, zeros, side="right"))
+
+
+def test_interval_lookup_counts_past_a_byte():
+    # 300 thresholds: the count no longer fits in a uint8 index.
+    thresholds = np.linspace(0.0, 3.0, 300)
+    z = np.concatenate([thresholds, [-1.0, 1.5, 4.0]])
+    idx = wcp._interval_lookup(tuple(thresholds), len(z))(z)
+    assert np.array_equal(idx, np.searchsorted(thresholds, z, side="right"))
+    assert idx.max() == 300
 
 
 def test_tail_bound_decreases_with_horizon():
