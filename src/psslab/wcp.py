@@ -18,27 +18,37 @@ which removes the boundary bias (the reflected increment is then exact
 in law for the frozen coefficients). Estimates use the default scheme;
 set bridge=False to get the plain projected Euler path.
 
-Streams are counter based: path p of seed s owns the bit generator
-Philox(SeedSequence(s, spawn_key=(p,))). Its normals drive the Euler
-increments; the bridge scheme's minima use standard exponentials from a
-copy of that generator jumped 2**128 draws ahead, so the two streams
-never overlap. One kernel advances a batch of paths in lockstep and draws
-each path's noise _CHUNK steps at a time, so memory is O(batch x chunk)
-whatever the horizon, and a path depends only on (seed, path_id), not on
-the batch width, the chunk length or scheduling. simulate_wcp is that
-kernel at width one with its lane recorded.
+Streams are counter based and shared by blocks of _LANES paths: block b
+of seed s owns the bit generator Philox(SeedSequence(s, spawn_key=(b,))),
+and path p is lane p % _LANES of block p // _LANES. A block's normals
+drive the Euler increments, drawn step-major: step k of lane l is draw
+k * _LANES + l. The bridge scheme's minima use standard exponentials,
+drawn the same way from a copy of that generator advanced 2**128 draws,
+so the two streams never overlap. A path therefore depends only on
+(seed, path_id), not on the batch width, the chunk length or scheduling.
 
-The noise buffers are step-major, (chunk, batch): each path draws its
-chunk into a row of a small lane-major scratch, which is copied in
-transposed, so a step reads its noise as contiguous rows. A step finds
-each path's policy interval with one comparison per threshold, which
-counts the thresholds <= z exactly as a sorted search would, ties
-included, and gathers that interval's coefficients with one take.
+One kernel advances whole blocks of paths in lockstep. Noise is drawn
+_CHUNK steps at a time, each block's stream straight into its own
+(chunk, _LANES) slab with one call, so memory is O(batch x chunk)
+whatever the horizon. The draws release the interpreter lock, so a
+helper thread draws the next chunk into a second buffer while the
+kernel steps through the current one. A step finds each path's policy
+interval with one comparison per threshold, which counts the thresholds
+<= z exactly as a sorted search would, ties included, and gathers that
+interval's coefficients with one take.
+
+simulate_wcp gives one lane of that kernel bit for bit, but evaluates it
+a chunk at a time: on the guess that the policy interval of the chunk's
+first step holds throughout, psi is a running sum of the increments and
+the local time a running maximum, in the kernel's floating-point order,
+and the chunk is evaluated again from the first step whose interval
+differs from the guess.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,23 +98,29 @@ def skorokhod_map(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return psi + eta, eta
 
 
-_CHUNK = 512  # time steps of noise drawn per path at a time
-_BATCH = 2048  # paths advanced together by estimate_wcp_cost
-_BLOCK = 128  # lanes per transposed copy into the step-major noise buffers
+_LANES = 64  # paths per noise stream; block b holds paths b * _LANES onwards
+_CHUNK = 256  # time steps of noise drawn at a time into each of two buffers
+_BATCH = 32 * _LANES  # paths advanced together by estimate_wcp_cost, a multiple of _LANES
 
 
-def _n_steps(step: float, horizon: float) -> int:
-    """Number of Euler steps of a run, after checking 0 < step <= horizon
-    with horizon finite."""
+def _check_run(z0: float, step: float, horizon: float, path_id: int = 0) -> int:
+    """Number of Euler steps of a run, after checking that z0 is finite and
+    nonnegative, path_id nonnegative, and 0 < step <= horizon with horizon
+    finite."""
+    if not 0.0 <= z0 < math.inf:
+        raise ValueError("z0 must be finite and nonnegative")
+    if path_id < 0:
+        raise ValueError("path_id must be nonnegative")
     if not (0 < step <= horizon and math.isfinite(horizon)):
         raise ValueError("need 0 < step <= horizon, horizon finite")
     return int(round(horizon / step))
 
 
-def _path_streams(seed: int, path_id: int, bridge: bool):
-    """Generators of one path: its Euler normals, and for the bridge
-    scheme the exponentials of its within-step minima (else None)."""
-    seq = np.random.SeedSequence(seed, spawn_key=(path_id,))
+def _block_streams(seed: int, block: int, bridge: bool):
+    """Generators of one block of _LANES paths: its Euler normals, and for
+    the bridge scheme the exponentials of its within-step minima (else
+    None)."""
+    seq = np.random.SeedSequence(seed, spawn_key=(block,))
     normals = np.random.Generator(np.random.Philox(seq))
     if not bridge:
         return normals, None
@@ -115,10 +131,17 @@ def _path_streams(seed: int, path_id: int, bridge: bool):
     return normals, np.random.Generator(ahead)
 
 
-def _interval_lookup(thresholds, width):
-    """A function of z (width values) that returns the index of the policy
-    interval holding each z, or None when there are no thresholds. The
-    index is the number of thresholds <= z, which is
+def _step_table(policy: ModePolicy, coefficients: Coefficients, step: float) -> np.ndarray:
+    """Per policy interval (column): the drift and the noise scale of one
+    step, and the 2 s^2 dt of its bridge minimum."""
+    b, s2 = np.array([coefficients[m] for m in policy.modes], dtype=float).T
+    return np.array([b * step, np.sqrt(s2) * math.sqrt(step), 2.0 * s2 * step])
+
+
+def _interval_lookup(thresholds, shape):
+    """A function of z (an array of the given shape) that returns the index
+    of the policy interval holding each z, or None when there are no
+    thresholds. The index is the number of thresholds <= z, which is
     np.searchsorted(thresholds, z, side="right"), ties included; the
     returned array is overwritten by the next call.
 
@@ -131,9 +154,9 @@ def _interval_lookup(thresholds, width):
     if not thresholds:
         return None
     first, *rest = (np.array(float(t)) for t in thresholds)
-    idx = np.zeros(width, dtype=np.uint8 if len(thresholds) < 256 else np.intp)
+    idx = np.zeros(shape, dtype=np.uint8 if len(thresholds) < 256 else np.intp)
     low = idx.view(np.bool_) if idx.itemsize == 1 else idx
-    hit = np.empty(width, dtype=np.bool_)
+    hit = np.empty(shape, dtype=np.bool_)
 
     def lookup(z):
         np.greater_equal(z, first, out=low, casting="unsafe")
@@ -144,81 +167,113 @@ def _interval_lookup(thresholds, width):
     return lookup
 
 
-def _fill_noise(streams, n, normals, expo, scratch):
-    """Draw the next n steps of noise of every lane into rows :n of the
-    step-major buffers normals and expo (expo None for the plain scheme).
-
-    Each lane fills its own row of the lane-major scratch with one call per
-    stream; the scratch is then copied in transposed, len(scratch) lanes
-    at a time.
-    """
-    block = len(scratch)
-    for l0 in range(0, len(streams), block):
-        lanes = streams[l0 : l0 + block]
-        cols = slice(l0, l0 + len(lanes))
-        rows = scratch[: len(lanes), :n]
-        for row, (gen_n, _) in zip(rows, lanes):
-            gen_n.standard_normal(out=row)
-        normals[:n, cols] = rows.T
+def _fill_noise(streams, n, normals, expo):
+    """Draw the next n steps of every block into [:, :n] of the buffers
+    normals and expo (expo None for the plain scheme): one call per block
+    and stream, which fills that block's (n, _LANES) slab step-major."""
+    for b, (gen_n, gen_e) in enumerate(streams):
+        gen_n.standard_normal(out=normals[b, :n])
         if expo is not None:
-            for row, (_, gen_e) in zip(rows, lanes):
-                gen_e.standard_exponential(out=row)
-            expo[:n, cols] = rows.T
+            gen_e.standard_exponential(out=expo[b, :n])
 
 
-def _steps(policy, coefficients, z0, step, n_steps, seed, path_ids, bridge):
-    """Advance the paths path_ids together from z0, one Euler step at a time.
+class _Helper(threading.Thread):
+    """Runs fn(*args) on a daemon thread from construction on; wait() joins
+    it and raises the error fn raised, if any, in the waiting thread."""
+
+    def __init__(self, fn, *args):
+        super().__init__(name="wcp-noise", daemon=True)
+        self._call = fn, args
+        self.error = None
+        self.start()
+
+    def run(self) -> None:
+        fn, args = self._call
+        try:
+            fn(*args)
+        except Exception as exc:  # handed to the thread that waits
+            self.error = exc
+
+    def wait(self) -> None:
+        self.join()
+        if self.error is not None:
+            raise self.error
+
+
+def _noise(seed, blocks, n_steps, bridge):
+    """Yield the noise of blocks, _CHUNK steps at a time: (normals, expo),
+    each of shape (len(blocks), n, _LANES) with n <= _CHUNK (expo None for
+    the plain scheme). The arrays are valid until the next chunk is asked
+    for: while the caller uses them, a helper thread draws that next chunk
+    into a second pair of buffers. Closing the generator waits for the
+    helper, so no thread outlives it."""
+    streams = [_block_streams(seed, b, bridge) for b in blocks]
+    shape = (len(streams), _CHUNK, _LANES)
+    bufs = [(np.empty(shape), np.empty(shape) if bridge else None) for _ in range(2)]
+    sizes = [min(_CHUNK, n_steps - c0) for c0 in range(0, n_steps, _CHUNK)]
+    _fill_noise(streams, sizes[0], *bufs[0])
+    helper = None
+    try:
+        for c, n in enumerate(sizes):
+            if helper is not None:
+                helper.wait()
+            if c + 1 < len(sizes):
+                helper = _Helper(_fill_noise, streams, sizes[c + 1], *bufs[(c + 1) % 2])
+            normals, expo = bufs[c % 2]
+            yield normals[:, :n], None if expo is None else expo[:, :n]
+    finally:
+        if helper is not None:
+            helper.join()
+
+
+def _steps(policy, coefficients, z0, step, n_steps, seed, blocks, bridge):
+    """Advance the paths of blocks together from z0, one Euler step at a time.
 
     Yields (z, eta), the reflected state and the local time after each
-    step; the arrays are overwritten by the next step. Noise is drawn
-    _CHUNK steps at a time per path into step-major buffers, so step k
-    reads one contiguous row and memory does not grow with n_steps. Each
-    step looks up its per-lane coefficients by the interval of z, found
-    by comparisons against the thresholds (_interval_lookup).
+    step, of shape (len(blocks), _LANES) with lane l of row r holding path
+    blocks[r] * _LANES + l; the arrays are overwritten by the next step.
+    Step k of a chunk reads row k of every block's noise slab. Each step
+    looks up its per-lane coefficients by the interval of z, found by
+    comparisons against the thresholds (_interval_lookup).
     """
-    b, s2 = np.array([coefficients[m] for m in policy.modes], dtype=float).T
-    # Per interval: the drift and the noise scale of one step, and the
-    # 2 s^2 dt of its bridge minimum.
-    table = np.array([b * step, np.sqrt(s2) * math.sqrt(step), 2.0 * s2 * step])
-
-    width = len(path_ids)
-    streams = [_path_streams(seed, p, bridge) for p in path_ids]
-    normals = np.empty((_CHUNK, width))
-    expo = np.empty((_CHUNK, width)) if bridge else None
-    scratch = np.empty((min(width, _BLOCK), _CHUNK))
-    psi = np.full(width, float(z0))
-    eta = np.zeros(width)
+    table = _step_table(policy, coefficients, step)
+    shape = (len(blocks), _LANES)
+    psi = np.full(shape, float(z0))
+    eta = np.zeros(shape)
     z = psi.copy()
-    dpsi, tmp, tmp2 = np.empty(width), np.empty(width), np.empty(width)
-    interval_of = _interval_lookup(policy.thresholds, width)
-    coef = np.repeat(table[:, :1], width, axis=1)
+    dpsi, tmp, tmp2 = np.empty(shape), np.empty(shape), np.empty(shape)
+    interval_of = _interval_lookup(policy.thresholds, shape)
+    coef = np.empty((3, *shape))
+    coef[...] = table[:, :1, None]
     bk, sk, gk = coef
-    for c0 in range(0, n_steps, _CHUNK):
-        n = min(_CHUNK, n_steps - c0)
-        _fill_noise(streams, n, normals, expo, scratch)
-        for k in range(n):
-            if interval_of is not None:
-                table.take(interval_of(z), axis=1, out=coef, mode="clip")
-            np.multiply(sk, normals[k], out=dpsi)
-            dpsi += bk
-            if bridge:
-                # Closed-form minimum of the Brownian bridge between the step
-                # endpoints, psi + (dpsi - sqrt(dpsi^2 + 2 s^2 dt E)) / 2 with
-                # E ~ Exp(1); exact in law for coefficients frozen over the step.
-                np.multiply(dpsi, dpsi, out=tmp)
-                np.multiply(gk, expo[k], out=tmp2)
-                tmp += tmp2
-                np.sqrt(tmp, out=tmp)
-                tmp -= dpsi
-                tmp *= 0.5
-                tmp -= psi
-                psi += dpsi
-            else:
-                psi += dpsi
-                np.negative(psi, out=tmp)
-            np.maximum(eta, tmp, out=eta)
-            np.add(psi, eta, out=z)
-            yield z, eta
+    noise = _noise(seed, blocks, n_steps, bridge)
+    try:
+        for normals, expo in noise:
+            for k in range(normals.shape[1]):
+                if interval_of is not None:
+                    table.take(interval_of(z), axis=1, out=coef, mode="clip")
+                np.multiply(sk, normals[:, k], out=dpsi)
+                dpsi += bk
+                if bridge:
+                    # Closed-form minimum of the Brownian bridge between the step
+                    # endpoints, psi + (dpsi - sqrt(dpsi^2 + 2 s^2 dt E)) / 2 with
+                    # E ~ Exp(1); exact in law for coefficients frozen over the step.
+                    np.multiply(dpsi, dpsi, out=tmp)
+                    np.multiply(gk, expo[:, k], out=tmp2)
+                    tmp += tmp2
+                    np.sqrt(tmp, out=tmp)
+                    tmp -= dpsi
+                    tmp *= 0.5
+                    tmp -= psi
+                    psi += dpsi
+                else:
+                    psi += dpsi
+                    np.negative(psi, out=tmp)
+                np.maximum(eta, tmp, out=eta)
+                np.add(psi, eta, out=z)
+                yield z, eta
+    finally:
+        noise.close()
 
 
 def simulate_wcp(
@@ -232,17 +287,49 @@ def simulate_wcp(
     bridge: bool = True,
 ) -> SamplePath1D:
     """Generate one path of the controlled reflected diffusion: lane
-    path_id of the batch that estimate_wcp_cost runs."""
-    if z0 < 0:
-        raise ValueError("z0 must be nonnegative")
-    n_steps = _n_steps(step, horizon)
+    path_id of the batch that estimate_wcp_cost runs, bit for bit.
+
+    Steps k.. of a chunk are evaluated at once with the coefficients of
+    the interval z[k] lies in: the increments by the kernel's formulas,
+    psi as their running sum from psi[k], and the local time as the
+    running maximum from eta[k] of each step's reflection level. Both
+    accumulations fold left, as the kernel's steps do. Values are right
+    up to the first later step whose z lies in another interval, and the
+    evaluation restarts there.
+    """
+    n_steps = _check_run(z0, step, horizon, path_id)
+    block, lane = divmod(path_id, _LANES)
+    drift, scale, spread = _step_table(policy, coefficients, step)
+    thresholds = np.asarray(policy.thresholds, dtype=float)
+    psi = np.empty(n_steps + 1)
+    local = np.empty(n_steps + 1)
     values = np.empty(n_steps + 1)
-    local = np.zeros(n_steps + 1)
-    values[0] = z0
-    lanes = _steps(policy, coefficients, z0, step, n_steps, seed, (path_id,), bridge)
-    for k, (z, eta) in enumerate(lanes, 1):
-        values[k] = z[0]
-        local[k] = eta[0]
+    psi[0] = values[0] = z0
+    local[0] = 0.0
+    end = 0
+    for normals, expo in _noise(seed, range(block, block + 1), n_steps, bridge):
+        k0, end = end, end + normals.shape[1]
+        k = k0
+        while k < end:
+            i = thresholds.searchsorted(values[k], side="right")
+            new = slice(k + 1, end + 1)
+            dpsi = normals[0, k - k0 :, lane] * scale[i]
+            dpsi += drift[i]
+            psi[new] = dpsi
+            np.add.accumulate(psi[k : end + 1], out=psi[k : end + 1])
+            if bridge:
+                level = dpsi * dpsi
+                level += expo[0, k - k0 :, lane] * spread[i]
+                np.sqrt(level, out=level)
+                level -= dpsi
+                level *= 0.5
+                np.subtract(level, psi[k:end], out=local[new])
+            else:
+                np.negative(psi[new], out=local[new])
+            np.maximum.accumulate(local[k : end + 1], out=local[k : end + 1])
+            np.add(psi[new], local[new], out=values[new])
+            moved = np.flatnonzero(thresholds.searchsorted(values[k + 1 : end], side="right") != i)
+            k = k + 1 + moved[0] if moved.size else end
     # Each step's mode is the policy's at the value the step started from.
     modes = policy.mode_of(values[:-1])
     times = np.arange(n_steps + 1) * step
@@ -289,23 +376,8 @@ def estimate_wcp_cost(
         raise ValueError("gamma must be positive")
     if horizon is None:
         horizon = 12.0 / gamma
-    n_steps = _n_steps(step, horizon)
-    # Trapezoid weights exp(-gamma t_k), with the end weights halved.
-    weights = np.exp(-gamma * step * np.arange(n_steps + 1))
-    weights[[0, -1]] *= 0.5
-    w = weights.tolist()
-    costs = np.empty(n_paths)
-
-    for start in range(0, n_paths, _BATCH):
-        ids = range(start, min(start + _BATCH, n_paths))
-        acc = np.full(len(ids), w[0] * float(z0))
-        wz = np.empty(len(ids))
-        lanes = _steps(policy, coefficients, z0, step, n_steps, seed, ids, bridge)
-        for k, (z, _) in enumerate(lanes, 1):
-            np.multiply(z, w[k], out=wz)
-            acc += wz
-        costs[start : start + len(ids)] = acc * step
-
+    n_steps = _check_run(z0, step, horizon)
+    costs = _path_costs(policy, coefficients, gamma, z0, step, n_steps, n_paths, seed, bridge)
     mean = float(np.mean(costs))
     hw = float(Z95 * np.std(costs, ddof=1) / math.sqrt(n_paths))
     return McEstimate(
@@ -316,3 +388,26 @@ def estimate_wcp_cost(
         horizon=n_steps * step,
         truncation_bound=discounted_tail_bound(coefficients, gamma, z0, n_steps * step),
     )
+
+
+def _path_costs(policy, coefficients, gamma, z0, step, n_steps, n_paths, seed, bridge):
+    """Discounted cost of paths 0 .. n_paths - 1, whole blocks of _LANES
+    paths at a time (lanes past n_paths are run and dropped)."""
+    # Trapezoid weights exp(-gamma t_k), with the end weights halved.
+    weights = np.exp(-gamma * step * np.arange(n_steps + 1))
+    weights[[0, -1]] *= 0.5
+    w = weights.tolist()
+    costs = np.empty(n_paths)
+    per_batch = _BATCH // _LANES
+    n_blocks = -(-n_paths // _LANES)
+    for b0 in range(0, n_blocks, per_batch):
+        blocks = range(b0, min(b0 + per_batch, n_blocks))
+        acc = np.full((len(blocks), _LANES), w[0] * float(z0))
+        wz = np.empty_like(acc)
+        lanes = _steps(policy, coefficients, z0, step, n_steps, seed, blocks, bridge)
+        for k, (z, _) in enumerate(lanes, 1):
+            np.multiply(z, w[k], out=wz)
+            acc += wz
+        part = costs[b0 * _LANES : blocks.stop * _LANES]
+        np.multiply(acc.ravel()[: len(part)], step, out=part)
+    return costs

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from psslab import wcp
 from psslab.hjb import ModePolicy
 from psslab.wcp import (
     SamplePath1D,
-    _path_streams,
+    _block_streams,
     discounted_tail_bound,
     estimate_wcp_cost,
     simulate_wcp,
@@ -57,15 +58,17 @@ def test_single_path_layout_and_policy_trace():
 def test_plain_scheme_equals_reflected_free_path():
     # With the bridge correction off, the discrete path is exactly the
     # reflection map applied to the discrete free path.
-    # The path spans several noise chunks.
+    # The path spans several noise chunks; path 70 is lane 6 of block 1,
+    # whose stream is drawn step-major.
     b, s2 = -0.2, 0.5
     step, n = 1e-2, 1100
     path = simulate_wcp(
-        ModePolicy.constant(0), ((b, s2),), 1.0, step, n * step, seed=9, path_id=4, bridge=False
+        ModePolicy.constant(0), ((b, s2),), 1.0, step, n * step, seed=9, path_id=70, bridge=False
     )
-    gen, no_bridge = _path_streams(9, 4, bridge=False)
+    assert wcp._LANES == 64
+    gen, no_bridge = _block_streams(9, 1, bridge=False)
     assert no_bridge is None
-    normals = gen.standard_normal(n)
+    normals = gen.standard_normal((n, 64))[:, 6]
     psi = np.empty(n + 1)
     psi[0] = 1.0
     for k in range(n):
@@ -76,9 +79,9 @@ def test_plain_scheme_equals_reflected_free_path():
 
 
 def test_exponential_stream_is_the_jumped_normal_stream():
-    for seed, path_id in ((0, 0), (9, 4), (21, 2047)):
-        gen_n, gen_e = _path_streams(seed, path_id, bridge=True)
-        bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(path_id,)))
+    for seed, block in ((0, 0), (9, 4), (21, 1562)):
+        gen_n, gen_e = _block_streams(seed, block, bridge=True)
+        bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(block,)))
         # The states hold short arrays, which repr prints in full.
         assert repr(gen_n.bit_generator.state) == repr(bits.state)
         assert repr(gen_e.bit_generator.state) == repr(bits.jumped().state)
@@ -86,14 +89,17 @@ def test_exponential_stream_is_the_jumped_normal_stream():
 
 def test_reflected_brownian_motion_mean():
     # Driftless unit-variance reflection from zero: E Z_1 = sqrt(2/pi).
-    # Lanes 0-399 of one batch are the paths simulate_wcp gives for those ids.
-    lanes = wcp._steps(ModePolicy.constant(0), ((0.0, 1.0),), 0.0, 1e-3, 1000, 5, range(400), True)
+    # Paths 0-399 of one batch of blocks are the paths simulate_wcp gives
+    # for those ids.
+    blocks = range(-(-400 // wcp._LANES))
+    lanes = wcp._steps(ModePolicy.constant(0), ((0.0, 1.0),), 0.0, 1e-3, 1000, 5, blocks, True)
     for z, _ in lanes:
         pass
-    vals = z.copy()
-    assert vals[7] == simulate_wcp(
-        ModePolicy.constant(0), ((0.0, 1.0),), 0.0, 1e-3, 1.0, seed=5, path_id=7
-    ).values[-1]
+    vals = z.ravel()[:400].copy()
+    for p in (7, 300):
+        assert vals[p] == simulate_wcp(
+            ModePolicy.constant(0), ((0.0, 1.0),), 0.0, 1e-3, 1.0, seed=5, path_id=p
+        ).values[-1]
     target = math.sqrt(2.0 / math.pi)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(np.mean(vals) - target) <= 3.0 * se
@@ -120,46 +126,112 @@ def test_cost_estimate_matches_closed_form_value():
 
 
 def test_cost_estimate_independent_of_batch_layout(monkeypatch):
-    # 250 steps: several chunks of 37 with a short last one, or one short
-    # chunk; lanes copied in blocks of 5, or of 128 with a short last block.
+    # 300 paths are five blocks, the last one part used. 250 steps are
+    # several chunks of 37 with a short last one, or one short chunk.
+    # Batches of one, two or five blocks.
     pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
     coef = ((-0.1, 0.8), (0.1, 0.5))
     kw = dict(gamma=1.0, step=1e-2, horizon=2.5, n_paths=300, seed=12)
-    monkeypatch.setattr(wcp, "_BATCH", 300)
     ref = estimate_wcp_cost(pol, coef, **kw)
-    for chunk, block in ((37, 5), (wcp._CHUNK, wcp._BLOCK)):
+    for chunk in (37, wcp._CHUNK):
         monkeypatch.setattr(wcp, "_CHUNK", chunk)
-        monkeypatch.setattr(wcp, "_BLOCK", block)
-        for batch in (1, 7, 300):
-            monkeypatch.setattr(wcp, "_BATCH", batch)
+        for blocks in (1, 2, 5):
+            monkeypatch.setattr(wcp, "_BATCH", blocks * wcp._LANES)
             est = estimate_wcp_cost(pol, coef, **kw)
             assert est.mean == ref.mean
             assert est.half_width_95 == ref.half_width_95
 
 
+def test_path_costs_independent_of_path_count():
+    # The 300-path run uses only part of its last block; the 384-path run
+    # fills it and adds a block.
+    pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
+    coef = ((-0.1, 0.8), (0.1, 0.5))
+    args = (pol, coef, 1.0, 0.4, 1e-2, 250)
+    short = wcp._path_costs(*args, 300, 12, True)
+    long = wcp._path_costs(*args, 384, 12, True)
+    assert len(short) == 300 and len(long) == 384
+    assert np.array_equal(short, long[:300])
+
+
 def test_recorded_path_is_the_estimates_lane():
+    # A switching policy, both schemes, and path 133: lane 5 of block 2.
     pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
     coef = ((-0.1, 0.8), (0.1, 0.5))
     gamma, z0, step, horizon = 0.7, 0.2, 1e-2, 6.0
-    est = estimate_wcp_cost(pol, coef, gamma, z0, step, horizon, n_paths=2, seed=4)
     n_steps = int(round(horizon / step))
-    assert n_steps > wcp._CHUNK
+    assert n_steps > 2 * wcp._CHUNK
+    ids = (0, 1, 2 * wcp._LANES + 5)
     weights = np.exp(-gamma * step * np.arange(n_steps + 1))
     weights[[0, -1]] *= 0.5
-    costs = [
-        step * weights @ simulate_wcp(pol, coef, z0, step, horizon, seed=4, path_id=p).values
-        for p in (0, 1)
-    ]
-    assert np.mean(costs) == pytest.approx(est.mean, rel=1e-13, abs=0.0)
+    for bridge in (True, False):
+        kernel = np.empty((n_steps + 1, len(ids)))
+        kernel[0] = z0
+        lanes = wcp._steps(pol, coef, z0, step, n_steps, 4, range(3), bridge)
+        for k, (z, _) in enumerate(lanes, 1):
+            kernel[k] = z.ravel()[list(ids)]
+        paths = [simulate_wcp(pol, coef, z0, step, horizon, 4, p, bridge) for p in ids]
+        for path, lane in zip(paths, kernel.T):
+            assert np.array_equal(path.values, lane)
+            assert set(path.mode_trace) == {0, 1}
+        est = estimate_wcp_cost(pol, coef, gamma, z0, step, horizon, 2, 4, bridge)
+        costs = [step * weights @ path.values for path in paths[:2]]
+        assert np.mean(costs) == pytest.approx(est.mean, rel=1e-13, abs=0.0)
+
+
+def _noise_threads():
+    return [t for t in threading.enumerate() if t.name == "wcp-noise"]
+
+
+def test_no_noise_thread_outlives_a_run():
+    pol = ModePolicy.constant(0)
+    coef = ((0.0, 1.0),)
+    estimate_wcp_cost(pol, coef, gamma=1.0, step=1e-2, horizon=8.0, n_paths=100, seed=1)
+    assert _noise_threads() == []
+    # Stopped one step past a chunk boundary, with the next chunk in flight.
+    lanes = wcp._steps(pol, coef, 0.0, 1e-2, 3 * wcp._CHUNK, 1, range(2), True)
+    for _ in range(wcp._CHUNK + 1):
+        next(lanes)
+    lanes.close()
+    assert _noise_threads() == []
+
+
+def test_failed_noise_fill_reaches_the_caller(monkeypatch):
+    fill = wcp._fill_noise
+    calls = []
+
+    def failing_fill(*args):
+        # The first fill runs on the caller's thread, the second on the helper.
+        calls.append(threading.current_thread().name)
+        if len(calls) == 2:
+            raise RuntimeError("fill failed")
+        fill(*args)
+
+    monkeypatch.setattr(wcp, "_fill_noise", failing_fill)
+    errors = []
+
+    def run():
+        try:
+            estimate_wcp_cost(ModePolicy.constant(0), ((0.0, 1.0),), 1.0, step=1e-2, horizon=8.0)
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    caller = threading.Thread(target=run)
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive()
+    assert [str(e) for e in errors] == ["fill failed"]
+    assert calls[1] == "wcp-noise"
+    assert _noise_threads() == []
 
 
 # sha256 of times, values, local_time and mode_trace of plain-scheme paths,
-# recorded before the chunked kernel: the normal streams are unchanged.
+# recorded when the streams became one per block of _LANES paths.
 PLAIN_PATH_SHA256 = {
-    (3, "threshold"): "cfa656c048c844164c30ea770da74e6f77f2ae347301e29e00a4043248a7d22b",
-    (3, "static:1"): "32ac18e731683a4afc03f9957ab82e4cbdb483c44ffb6a534a1ebb6071abf146",
-    (17, "threshold"): "5c819776d322b050854a82673f41000ae55102c18ca82bdd026392c310f5534e",
-    (17, "static:1"): "5c6df89bbb320994a647998054ac69905a21f89454c58e792f64c0c2ad6b11a5",
+    (3, "threshold"): "6253d380b9c2211a3842db327ef792ee022fe0c4ba01919d40573fcc183c0785",
+    (3, "static:1"): "d8a56d91c645c30522dd04ca09ade3f2dbfcabd170f1fffe26150e3e5c389242",
+    (17, "threshold"): "4bf2eae0ba4472861e0a2e719e2095524def11551fab45d413369add12165075",
+    (17, "static:1"): "58f4176cf007bc37122001e81a01468d8461b7a43cf952c60be05bcf062d016e",
 }
 
 
@@ -177,20 +249,20 @@ def test_plain_scheme_paths_pinned(seed, label):
     assert sha.hexdigest() == PLAIN_PATH_SHA256[seed, label]
 
 
-# Bridge-scheme pins, recorded before the step-major kernel: repr of the
-# estimate's mean and half width, and the sha256 of one recorded path.
-# 1300 steps are two full noise chunks and a short one; 300 paths span three
-# transposed-copy blocks.
+# Bridge-scheme pins, recorded when the streams became one per block of
+# _LANES paths: repr of the estimate's mean and half width, and the sha256
+# of one recorded path. 1300 steps are five full noise chunks and a short
+# one; 300 paths are five blocks, the last one part used.
 BRIDGE_PINS = {
     "threshold:2": (
-        "1.0509545770254551",
-        "0.05934401044906681",
-        "2746ac427648f3b770db26f5a59766bd71e1d6ae141a1f3b6fc7a9758b9d55b8",
+        "1.0958901666336918",
+        "0.059753759535614695",
+        "0edd9e8b60dd321b7f0f630f3f0298c70137d0deb6e9a285d4539f455e260db6",
     ),
     "static:1": (
-        "1.0898400631264444",
-        "0.062225706431381526",
-        "ccb47ffd110e6aea758ffa65f463cccc32a13cf9215b28d3a67d313fab9b5e24",
+        "1.137233803400639",
+        "0.062806725284365",
+        "599ce48f88c8b693ec6aff0fc145020096a00d4283d33185db76e935b144d4f9",
     ),
 }
 
@@ -267,17 +339,33 @@ def test_input_validation():
         estimate_wcp_cost(pol, coef, gamma=0.0)
 
 
+STEP_ERROR = "need 0 < step <= horizon"
+Z0_ERROR = "z0 must be finite and nonnegative"
+
+
 @pytest.mark.parametrize(
-    "step, horizon",
-    [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1e-2, 1e-3), (1e-2, math.inf)],
+    "step, horizon, z0, path_id, match",
+    [
+        pytest.param(0.0, 1.0, 0.0, 0, STEP_ERROR, id="0.0-1.0"),
+        pytest.param(-1.0, 1.0, 0.0, 0, STEP_ERROR, id="-1.0-1.0"),
+        pytest.param(math.nan, 1.0, 0.0, 0, STEP_ERROR, id="nan-1.0"),
+        pytest.param(1e-2, 1e-3, 0.0, 0, STEP_ERROR, id="0.01-0.001"),
+        pytest.param(1e-2, math.inf, 0.0, 0, STEP_ERROR, id="0.01-inf"),
+        pytest.param(1e-2, 1.0, -1.0, 0, Z0_ERROR, id="z0=-1"),
+        pytest.param(1e-2, 1.0, math.nan, 0, Z0_ERROR, id="z0=nan"),
+        pytest.param(1e-2, 1.0, math.inf, 0, Z0_ERROR, id="z0=inf"),
+        pytest.param(1e-2, 1.0, 0.0, -1, "path_id must be nonnegative", id="path_id=-1"),
+    ],
 )
-def test_step_and_horizon_checked_by_both_entry_points(step, horizon):
+def test_step_and_horizon_checked_by_both_entry_points(step, horizon, z0, path_id, match):
+    # estimate_wcp_cost takes no path id: it runs paths 0 onwards.
     pol = ModePolicy.constant(0)
     coef = ((0.0, 1.0),)
-    with pytest.raises(ValueError, match="need 0 < step <= horizon"):
-        estimate_wcp_cost(pol, coef, gamma=1.0, step=step, horizon=horizon, n_paths=2)
-    with pytest.raises(ValueError, match="need 0 < step <= horizon"):
-        simulate_wcp(pol, coef, 0.0, step, horizon, seed=0)
+    if path_id == 0:
+        with pytest.raises(ValueError, match=match):
+            estimate_wcp_cost(pol, coef, gamma=1.0, z0=z0, step=step, horizon=horizon, n_paths=2)
+    with pytest.raises(ValueError, match=match):
+        simulate_wcp(pol, coef, z0, step, horizon, seed=0, path_id=path_id)
 
 
 def test_path_container_rejects_bad_series():
