@@ -88,9 +88,21 @@ def _positive(v: float) -> bool:
     return math.isfinite(v) and v > 0
 
 
+def _n_list(text: str) -> tuple[int, ...]:
+    """The values of --n-list: comma-separated positive integers."""
+    try:
+        n_list = tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise CliError("--n-list must be comma-separated integers") from exc
+    _need(all(n >= 1 for n in n_list), "--n-list values must be positive")
+    return n_list
+
+
 def _check_options(args: argparse.Namespace) -> None:
     """Refuse option values a stage would reject, before any work."""
     cmd = args.command
+    if cmd in ("sim-wcp", "sim-qcp", "verify-bound"):
+        _need(args.seed >= 0, "--seed must be a nonnegative integer")
     if cmd in ("solve-hjb", "sim-wcp", "verify-bound"):
         _need(args.grid_n >= 3, "--grid-n must be at least 3")
         _need(args.z_max is None or _positive(args.z_max), "--z-max must be a positive number")
@@ -121,6 +133,7 @@ def _check_options(args: argparse.Namespace) -> None:
         _need(args.n >= 1, "--n must be a positive integer")
     if cmd == "verify-bound":
         _need(args.reps >= 2, "--reps must be at least 2")
+        _n_list(args.n_list)
 
 
 def _assumption_status(parts: tuple[int, ...]) -> int:
@@ -500,11 +513,7 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
         policies = tuple(
             PolicySpec.static_mode(m) for m in range(len(analysis.modes))
         ) + (PolicySpec.workload_threshold(extract_policy(solution)),)
-    try:
-        n_list = tuple(int(v) for v in args.n_list.split(","))
-    except ValueError as exc:
-        raise CliError("--n-list must be comma-separated integers") from exc
-    _need(all(n >= 1 for n in n_list), "--n-list values must be positive")
+    n_list = _n_list(args.n_list)
     with _stage(stages, "qcp"):
         report = verify_lower_bound(
             inst,

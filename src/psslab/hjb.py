@@ -184,32 +184,24 @@ def _derivatives(u: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
     return du, d2u
 
 
-def _hamiltonians(w: np.ndarray, coefficients: Coefficients, dz: float, gamma: float) -> np.ndarray:
+def _hamiltonians(w: np.ndarray, stencils, coefficients: Coefficients, dz: float,
+                  gamma: float) -> np.ndarray:
     """H_m = b_m u' + sigma2_m/2 u'' per grid point and mode, from u' = w' + 1/gamma, u'' = w''.
 
-    Uses each mode's own advection stencil so the argmin is consistent
-    with the assembled linear systems. At z = 0 the imposed u'(0) = 0
-    removes the drift term; at z_max the far field slope is used.
+    Inside, each mode's assembled row applied to w gives b_m w' +
+    sigma2_m/2 w'' - gamma w, so H_m is that plus gamma w + b_m/gamma and
+    the argmin sees the very stencils of the linear systems. At z = 0 the
+    imposed u'(0) = 0 removes the drift term; at z_max the far field slope
+    is used.
     """
     n = len(w) - 1
-    du_c, d2 = _derivatives(w, dz)
-    du_c += 1.0 / gamma
-    du_f = np.empty_like(w)
-    du_f[1:n] = (w[2:] - w[1:n]) / dz + 1.0 / gamma
-    du_b = np.empty_like(w)
-    du_b[1:n] = (w[1:n] - w[: n - 1]) / dz + 1.0 / gamma
-
+    du, d2 = _derivatives(w, dz)
+    du[n] += 1.0 / gamma
     out = np.empty((len(coefficients), n + 1))
-    for m, (b, s2) in enumerate(coefficients):
-        if abs(b) * dz <= s2:
-            du = du_c
-        elif b > 0:
-            du = du_f
-        else:
-            du = du_b
-        out[m, 1:n] = b * du[1:n] + 0.5 * s2 * d2[1:n]
+    for m, ((lo, di, hi, r), (b, s2)) in enumerate(zip(stencils, coefficients)):
+        out[m, 1:n] = lo * w[: n - 1] + di * w[1:n] + hi * w[2:] + gamma * w[1:n] - r
         out[m, 0] = 0.5 * s2 * d2[0]
-        out[m, n] = b * du_c[n] + 0.5 * s2 * d2[n]
+        out[m, n] = b * du[n] + 0.5 * s2 * d2[n]
     return out
 
 
@@ -280,14 +272,16 @@ def solve_hjb(
     if not coefficients:
         raise ValueError("at least one mode is required")
     for b, s2 in coefficients:
-        if s2 <= 0:
-            raise ValueError("every mode needs sigma2 > 0")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+        if not (math.isfinite(b) and 0 < s2 < math.inf):
+            raise ValueError("every mode needs a finite b and a finite sigma2 > 0")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be finite and positive")
     if config is None:
         config = HjbConfig()
     if config.grid_n < 3:
         raise ValueError("grid_n must be at least 3")
+    if config.z_max is not None and not 0 < config.z_max < math.inf:
+        raise ValueError("z_max must be finite and positive")
     z_max = config.z_max if config.z_max is not None else default_z_max(coefficients, gamma)
     n = config.grid_n
     grid = np.linspace(0.0, z_max, n + 1)
@@ -298,14 +292,14 @@ def solve_hjb(
     if m0 is not None:
         mode_at = np.full(n + 1, m0, dtype=np.int64)
         w = _solve_linear(mode_at, stencils, dz, gamma)
-        ham = _hamiltonians(w, coefficients, dz, gamma)
+        ham = _hamiltonians(w, stencils, coefficients, dz, gamma)
         iterations = 1
     else:
         mode_at = np.zeros(n + 1, dtype=np.int64)
         w = None
         for iterations in range(1, _MAX_ITERATIONS + 1):
             w_new = _solve_linear(mode_at, stencils, dz, gamma)
-            ham = _hamiltonians(w_new, coefficients, dz, gamma)
+            ham = _hamiltonians(w_new, stencils, coefficients, dz, gamma)
             new_mode = _minimizing_modes(ham, coefficients)
             moved = not np.array_equal(new_mode, mode_at)
             settled = w is not None and float(np.max(np.abs(w_new - w))) <= _TOL_POLICY
@@ -316,7 +310,7 @@ def solve_hjb(
                 break
             if settled:
                 w = _solve_linear(mode_at, stencils, dz, gamma)
-                ham = _hamiltonians(w, coefficients, dz, gamma)
+                ham = _hamiltonians(w, stencils, coefficients, dz, gamma)
                 break
             # Held across the next solve, this array fragments the heap and
             # raises wcp-a2's peak RSS by about 8 MB at grid 64000.

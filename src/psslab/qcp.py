@@ -11,9 +11,7 @@ preemptive resume, so a frozen clock keeps its progress). Queue lengths
 are exact integer counts; between events all continuous quantities are
 linear, so traces record event instants only and every integral below is
 evaluated piecewise exactly. Work per event is constant and small (see
-_simulate): on example_a2 at n = 400 an event costs about 1.5 us (1.7 us
-under a threshold policy) on a 2-vCPU Xeon VM, against 3.0 us (4.0 us)
-when every service clock was advanced at every event.
+_simulate).
 
 Scaled (diffusion regime) series derived from a trace:
 

@@ -5,26 +5,20 @@ reflection at 0; the mode is chosen by a feedback policy on the current
 level, and the cost is the expected discounted area under Z. Paths are
 generated by Euler steps with the mode frozen at the step's left
 endpoint. Reflection is realized through the one-sided regulator: with
-psi the cumulative driving path, the running maximum of psi^- is the
-local time L and Z = psi + L.
-
-Two boundary treatments are available. The plain scheme reflects using
-psi sampled at grid points only; it is the textbook projected Euler step
-Z <- max(0, Z + dpsi) and satisfies the discrete complementarity
-identities exactly, but its boundary bias is O(sqrt(dt)), which is
-visible at practical step sizes. The default scheme additionally samples
-the within-step minimum of the driving Brownian bridge in closed form,
-which removes the boundary bias (the reflected increment is then exact
-in law for the frozen coefficients). Estimates use the default scheme;
-set bridge=False to get the plain projected Euler path.
+psi the cumulative driving path, the local time L is the running maximum
+of -psi at the within-step minima of its Brownian bridges, and
+Z = psi + L. Those minima are sampled in closed form, so the reflected
+increment is exact in law for the frozen coefficients, without the
+O(sqrt(dt)) boundary bias of the projected Euler step Z <- max(0, Z +
+dpsi) (Asmussen, Glynn & Pitman, Ann. Appl. Probab. 5(4), 1995).
 
 Streams are counter based and shared by blocks of _LANES paths: block b
 of seed s owns the bit generator Philox(SeedSequence(s, spawn_key=(b,))),
 and path p is lane p % _LANES of block p // _LANES. A block's normals
 drive the Euler increments, drawn step-major: step k of lane l is draw
-k * _LANES + l. The bridge scheme's minima use standard exponentials,
-drawn the same way from a copy of that generator advanced 2**128 draws,
-so the two streams never overlap. A path therefore depends only on
+k * _LANES + l. The bridge minima use standard exponentials, drawn the
+same way from a copy of that generator advanced 2**128 draws, so the
+two streams never overlap. A path therefore depends only on
 (seed, path_id), not on the batch width, the chunk length or scheduling.
 
 One kernel advances whole blocks of paths in lockstep. Noise is drawn
@@ -116,14 +110,11 @@ def _check_run(z0: float, step: float, horizon: float, path_id: int = 0) -> int:
     return int(round(horizon / step))
 
 
-def _block_streams(seed: int, block: int, bridge: bool):
-    """Generators of one block of _LANES paths: its Euler normals, and for
-    the bridge scheme the exponentials of its within-step minima (else
-    None)."""
+def _block_streams(seed: int, block: int):
+    """Generators of one block of _LANES paths: its Euler normals and the
+    exponentials of its within-step bridge minima."""
     seq = np.random.SeedSequence(seed, spawn_key=(block,))
     normals = np.random.Generator(np.random.Philox(seq))
-    if not bridge:
-        return normals, None
     # The state of Philox(seq).jumped(), without jumped()'s detour through
     # a generator seeded from OS entropy.
     ahead = np.random.Philox(seq)
@@ -133,7 +124,11 @@ def _block_streams(seed: int, block: int, bridge: bool):
 
 def _step_table(policy: ModePolicy, coefficients: Coefficients, step: float) -> np.ndarray:
     """Per policy interval (column): the drift and the noise scale of one
-    step, and the 2 s^2 dt of its bridge minimum."""
+    step, and the 2 s^2 dt of its bridge minimum. Every policy mode must
+    index coefficients."""
+    for m in policy.modes:
+        if not 0 <= m < len(coefficients):
+            raise ValueError(f"mode {m} is not in 0..{len(coefficients) - 1}")
     b, s2 = np.array([coefficients[m] for m in policy.modes], dtype=float).T
     return np.array([b * step, np.sqrt(s2) * math.sqrt(step), 2.0 * s2 * step])
 
@@ -169,12 +164,11 @@ def _interval_lookup(thresholds, shape):
 
 def _fill_noise(streams, n, normals, expo):
     """Draw the next n steps of every block into [:, :n] of the buffers
-    normals and expo (expo None for the plain scheme): one call per block
-    and stream, which fills that block's (n, _LANES) slab step-major."""
+    normals and expo: one call per block and stream, which fills that
+    block's (n, _LANES) slab step-major."""
     for b, (gen_n, gen_e) in enumerate(streams):
         gen_n.standard_normal(out=normals[b, :n])
-        if expo is not None:
-            gen_e.standard_exponential(out=expo[b, :n])
+        gen_e.standard_exponential(out=expo[b, :n])
 
 
 class _Helper(threading.Thread):
@@ -200,16 +194,16 @@ class _Helper(threading.Thread):
             raise self.error
 
 
-def _noise(seed, blocks, n_steps, bridge):
+def _noise(seed, blocks, n_steps):
     """Yield the noise of blocks, _CHUNK steps at a time: (normals, expo),
-    each of shape (len(blocks), n, _LANES) with n <= _CHUNK (expo None for
-    the plain scheme). The arrays are valid until the next chunk is asked
-    for: while the caller uses them, a helper thread draws that next chunk
-    into a second pair of buffers. Closing the generator waits for the
-    helper, so no thread outlives it."""
-    streams = [_block_streams(seed, b, bridge) for b in blocks]
+    each of shape (len(blocks), n, _LANES) with n <= _CHUNK. The arrays
+    are valid until the next chunk is asked for: while the caller uses
+    them, a helper thread draws that next chunk into a second pair of
+    buffers. Closing the generator waits for the helper, so no thread
+    outlives it."""
+    streams = [_block_streams(seed, b) for b in blocks]
     shape = (len(streams), _CHUNK, _LANES)
-    bufs = [(np.empty(shape), np.empty(shape) if bridge else None) for _ in range(2)]
+    bufs = [(np.empty(shape), np.empty(shape)) for _ in range(2)]
     sizes = [min(_CHUNK, n_steps - c0) for c0 in range(0, n_steps, _CHUNK)]
     _fill_noise(streams, sizes[0], *bufs[0])
     helper = None
@@ -220,13 +214,28 @@ def _noise(seed, blocks, n_steps, bridge):
             if c + 1 < len(sizes):
                 helper = _Helper(_fill_noise, streams, sizes[c + 1], *bufs[(c + 1) % 2])
             normals, expo = bufs[c % 2]
-            yield normals[:, :n], None if expo is None else expo[:, :n]
+            yield normals[:, :n], expo[:, :n]
     finally:
         if helper is not None:
             helper.join()
 
 
-def _steps(policy, coefficients, z0, step, n_steps, seed, blocks, bridge):
+def _bridge_level(dpsi, spread, expo, psi, out, tmp):
+    """Write to out the reflection level of a step from psi by dpsi,
+    (sqrt(dpsi^2 + 2 s^2 dt E) - dpsi) / 2 - psi with spread =
+    2 s^2 dt and E ~ Exp(1) in expo: minus the closed-form minimum of the
+    Brownian bridge between the step's endpoints, exact in law for
+    coefficients frozen over the step. tmp is scratch of out's shape."""
+    np.multiply(dpsi, dpsi, out=out)
+    np.multiply(spread, expo, out=tmp)
+    out += tmp
+    np.sqrt(out, out=out)
+    out -= dpsi
+    out *= 0.5
+    np.subtract(out, psi, out=out)
+
+
+def _steps(policy, coefficients, z0, step, n_steps, seed, blocks):
     """Advance the paths of blocks together from z0, one Euler step at a time.
 
     Yields (z, eta), the reflected state and the local time after each
@@ -246,7 +255,7 @@ def _steps(policy, coefficients, z0, step, n_steps, seed, blocks, bridge):
     coef = np.empty((3, *shape))
     coef[...] = table[:, :1, None]
     bk, sk, gk = coef
-    noise = _noise(seed, blocks, n_steps, bridge)
+    noise = _noise(seed, blocks, n_steps)
     try:
         for normals, expo in noise:
             for k in range(normals.shape[1]):
@@ -254,21 +263,8 @@ def _steps(policy, coefficients, z0, step, n_steps, seed, blocks, bridge):
                     table.take(interval_of(z), axis=1, out=coef, mode="clip")
                 np.multiply(sk, normals[:, k], out=dpsi)
                 dpsi += bk
-                if bridge:
-                    # Closed-form minimum of the Brownian bridge between the step
-                    # endpoints, psi + (dpsi - sqrt(dpsi^2 + 2 s^2 dt E)) / 2 with
-                    # E ~ Exp(1); exact in law for coefficients frozen over the step.
-                    np.multiply(dpsi, dpsi, out=tmp)
-                    np.multiply(gk, expo[:, k], out=tmp2)
-                    tmp += tmp2
-                    np.sqrt(tmp, out=tmp)
-                    tmp -= dpsi
-                    tmp *= 0.5
-                    tmp -= psi
-                    psi += dpsi
-                else:
-                    psi += dpsi
-                    np.negative(psi, out=tmp)
+                _bridge_level(dpsi, gk, expo[:, k], psi, tmp, tmp2)
+                psi += dpsi
                 np.maximum(eta, tmp, out=eta)
                 np.add(psi, eta, out=z)
                 yield z, eta
@@ -284,7 +280,6 @@ def simulate_wcp(
     horizon: float,
     seed: int,
     path_id: int = 0,
-    bridge: bool = True,
 ) -> SamplePath1D:
     """Generate one path of the controlled reflected diffusion: lane
     path_id of the batch that estimate_wcp_cost runs, bit for bit.
@@ -307,7 +302,7 @@ def simulate_wcp(
     psi[0] = values[0] = z0
     local[0] = 0.0
     end = 0
-    for normals, expo in _noise(seed, range(block, block + 1), n_steps, bridge):
+    for normals, expo in _noise(seed, range(block, block + 1), n_steps):
         k0, end = end, end + normals.shape[1]
         k = k0
         while k < end:
@@ -317,15 +312,8 @@ def simulate_wcp(
             dpsi += drift[i]
             psi[new] = dpsi
             np.add.accumulate(psi[k : end + 1], out=psi[k : end + 1])
-            if bridge:
-                level = dpsi * dpsi
-                level += expo[0, k - k0 :, lane] * spread[i]
-                np.sqrt(level, out=level)
-                level -= dpsi
-                level *= 0.5
-                np.subtract(level, psi[k:end], out=local[new])
-            else:
-                np.negative(psi[new], out=local[new])
+            _bridge_level(dpsi, spread[i], expo[0, k - k0 :, lane], psi[k:end], local[new],
+                          np.empty_like(dpsi))
             np.maximum.accumulate(local[k : end + 1], out=local[k : end + 1])
             np.add(psi[new], local[new], out=values[new])
             moved = np.flatnonzero(thresholds.searchsorted(values[k + 1 : end], side="right") != i)
@@ -361,7 +349,6 @@ def estimate_wcp_cost(
     horizon: float | None = None,
     n_paths: int = 10_000,
     seed: int = 0,
-    bridge: bool = True,
 ) -> McEstimate:
     """Monte Carlo mean of the discounted area under the controlled path.
 
@@ -377,7 +364,7 @@ def estimate_wcp_cost(
     if horizon is None:
         horizon = 12.0 / gamma
     n_steps = _check_run(z0, step, horizon)
-    costs = _path_costs(policy, coefficients, gamma, z0, step, n_steps, n_paths, seed, bridge)
+    costs = _path_costs(policy, coefficients, gamma, z0, step, n_steps, n_paths, seed)
     mean = float(np.mean(costs))
     hw = float(Z95 * np.std(costs, ddof=1) / math.sqrt(n_paths))
     return McEstimate(
@@ -390,7 +377,7 @@ def estimate_wcp_cost(
     )
 
 
-def _path_costs(policy, coefficients, gamma, z0, step, n_steps, n_paths, seed, bridge):
+def _path_costs(policy, coefficients, gamma, z0, step, n_steps, n_paths, seed):
     """Discounted cost of paths 0 .. n_paths - 1, whole blocks of _LANES
     paths at a time (lanes past n_paths are run and dropped)."""
     # Trapezoid weights exp(-gamma t_k), with the end weights halved.
@@ -404,7 +391,7 @@ def _path_costs(policy, coefficients, gamma, z0, step, n_steps, n_paths, seed, b
         blocks = range(b0, min(b0 + per_batch, n_blocks))
         acc = np.full((len(blocks), _LANES), w[0] * float(z0))
         wz = np.empty_like(acc)
-        lanes = _steps(policy, coefficients, z0, step, n_steps, seed, blocks, bridge)
+        lanes = _steps(policy, coefficients, z0, step, n_steps, seed, blocks)
         for k, (z, _) in enumerate(lanes, 1):
             np.multiply(z, w[k], out=wz)
             acc += wz

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from conftest import INSTANCES
+from psslab import cli
 from psslab.cli import _estimate_doc, _parse_policy, main
 from psslab.hjb import extract_policy, solve_hjb
 from psslab.lp import analyze
@@ -348,6 +349,9 @@ def test_reports_written_under_out(capsys, tmp_path):
         (["sim-qcp", "--n", "4", "--reps", "2"], "abc"),
         (["verify-bound", "--reps", "1"], None),
         (["verify-bound", "--n-list", "25,0"], None),
+        (["sim-wcp", "--seed", "-1"], None),
+        (["sim-qcp", "--n", "25", "--seed", "-1"], None),
+        (["verify-bound", "--seed", "-1"], None),
     ],
 )
 def test_bad_options_exit_10(capsys, monkeypatch, argv, env):
@@ -358,6 +362,18 @@ def test_bad_options_exit_10(capsys, monkeypatch, argv, env):
     code, out, err = run(capsys, *argv[:1], "--instance", path_of("mm1"), *argv[1:])
     assert code == 10
     assert out == "" and err.startswith("error: ")
+
+
+def test_n_list_checked_before_any_work(capsys, monkeypatch):
+    def no_analysis(inst):
+        raise AssertionError("analyze ran before --n-list was checked")
+
+    monkeypatch.setattr(cli, "analyze", no_analysis)
+    code, out, err = run(
+        capsys, "verify-bound", "--instance", path_of("mm1"), "--n-list", "25,x"
+    )
+    assert code == 10
+    assert out == "" and err == "error: --n-list must be comma-separated integers\n"
 
 
 @pytest.mark.parametrize("command", ["sim-qcp", "verify-bound"])

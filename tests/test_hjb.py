@@ -71,6 +71,15 @@ def test_solver_input_validation():
         solve_hjb(((0.0, 1.0),), 0.0)
     with pytest.raises(ValueError):
         solve_hjb(((0.0, 1.0),), 1.0, HjbConfig(grid_n=2))
+    for mode in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite b and a finite sigma2 > 0"):
+            solve_hjb(((0.0, 1.0), mode), 1.0)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            solve_hjb(((0.0, 1.0),), gamma)
+    for z_max in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="z_max must be finite and positive"):
+            solve_hjb(((0.0, 1.0), (-0.1, 2.0)), 1.0, HjbConfig(z_max=z_max))
 
 
 def test_single_mode_matches_closed_form():
@@ -259,6 +268,53 @@ def test_linear_solve_matches_dense_u_system(modes, gamma, grid_n, data):
         )
         mode_at = np.array(data.draw(field))
     _check_against_dense_u_system(modes, gamma, mode_at, default_z_max(modes, gamma))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # Drawn as in test_linear_solve_matches_dense_u_system, so both upwind
+    # differences occur besides the centred one.
+    modes=st.lists(
+        st.tuples(st.floats(-5.0, 5.0), st.floats(0.01, 2.0)), min_size=1, max_size=4
+    ),
+    gamma=st.floats(0.1, 3.0),
+    grid_n=st.integers(3, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(modes=[(-5.0, 0.01), (5.0, 0.01), (0.0, 1.0)], gamma=1.0, grid_n=3, seed=0)
+def test_hamiltonians_match_written_out_differences(modes, gamma, grid_n, seed):
+    # H_m = b_m u' + sigma2_m/2 u'' with u' = w' + 1/gamma and u'' = w'':
+    # inside, w' is centred where |b| dz <= sigma2, else upwind (forward
+    # for b > 0); at z = 0 the drift term drops; at z_max w' and w'' take
+    # the one-sided second order stencils.
+    modes = tuple(modes)
+    n = grid_n
+    dz = default_z_max(modes, gamma) / n
+    w = np.random.default_rng(seed).uniform(-1.0, 1.0, n + 1)
+    stencils = hjb._stencils(modes, dz, gamma)
+    ham = hjb._hamiltonians(w, stencils, modes, dz, gamma)
+    d2 = (w[2:] - 2.0 * w[1:n] + w[: n - 1]) / dz**2
+    dw_n = (3.0 * w[n] - 4.0 * w[n - 1] + w[n - 2]) / (2.0 * dz)
+    d2_0 = (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / dz**2
+    d2_n = (2.0 * w[n] - 5.0 * w[n - 1] + 4.0 * w[n - 2] - w[n - 3]) / dz**2
+    w_near = np.max([np.abs(w[: n - 1]), np.abs(w[1:n]), np.abs(w[2:])], axis=0)
+    eps = np.finfo(float).eps
+    w_max = np.max(np.abs(w))
+    for (b, s2), (lo, di, hi, _), row in zip(modes, stencils, ham):
+        if abs(b) * dz <= s2:
+            dw = (w[2:] - w[: n - 1]) / (2.0 * dz)
+        elif b > 0:
+            dw = (w[2:] - w[1:n]) / dz
+        else:
+            dw = (w[1:n] - w[: n - 1]) / dz
+        ref = b * (dw + 1.0 / gamma) + 0.5 * s2 * d2
+        # Roundoff bound: either side sums a handful of terms, each a few
+        # ulps off, whose magnitudes add up to at most `size`.
+        size = (abs(lo) + abs(di) + abs(hi) + gamma) * w_near + abs(b) / gamma
+        assert np.all(np.abs(row[1:n] - ref) <= 8.0 * eps * size)
+        edge = 6.0 * s2 * w_max / dz**2 + abs(b) * (4.0 * w_max / dz + 1.0 / gamma)
+        assert abs(row[0] - 0.5 * s2 * d2_0) <= 8.0 * eps * edge
+        assert abs(row[n] - (b * (dw_n + 1.0 / gamma) + 0.5 * s2 * d2_n)) <= 8.0 * eps * edge
 
 
 @pytest.mark.parametrize("b", [-3.1, 3.1])

@@ -1,4 +1,4 @@
-"""Reflected diffusion simulation: reflection map, schemes, estimates."""
+"""Reflected diffusion simulation: reflection map, paths, estimates."""
 
 import hashlib
 import math
@@ -55,32 +55,36 @@ def test_single_path_layout_and_policy_trace():
     assert np.array_equal(path.mode_trace, pol.mode_of(path.values[:-1]))
 
 
-def test_plain_scheme_equals_reflected_free_path():
-    # With the bridge correction off, the discrete path is exactly the
-    # reflection map applied to the discrete free path.
+def test_bridge_path_equals_python_loop():
+    # Each step in plain Python floats: the Euler increment, the reflection
+    # level at the bridge minimum, psi, and the local time as a running max.
     # The path spans several noise chunks; path 70 is lane 6 of block 1,
-    # whose stream is drawn step-major.
+    # whose streams are drawn step-major.
     b, s2 = -0.2, 0.5
     step, n = 1e-2, 1100
-    path = simulate_wcp(
-        ModePolicy.constant(0), ((b, s2),), 1.0, step, n * step, seed=9, path_id=70, bridge=False
-    )
+    path = simulate_wcp(ModePolicy.constant(0), ((b, s2),), 1.0, step, n * step, seed=9, path_id=70)
     assert wcp._LANES == 64
-    gen, no_bridge = _block_streams(9, 1, bridge=False)
-    assert no_bridge is None
-    normals = gen.standard_normal((n, 64))[:, 6]
-    psi = np.empty(n + 1)
-    psi[0] = 1.0
+    gen_n, gen_e = _block_streams(9, 1)
+    normals = gen_n.standard_normal((n, 64))[:, 6].tolist()
+    expo = gen_e.standard_exponential((n, 64))[:, 6].tolist()
+    drift, scale, spread = b * step, math.sqrt(s2) * math.sqrt(step), 2.0 * s2 * step
+    psi, eta = 1.0, 0.0
+    values, local = [psi], [eta]
     for k in range(n):
-        psi[k + 1] = psi[k] + (b * step + math.sqrt(s2) * math.sqrt(step) * normals[k])
-    phi, eta = skorokhod_map(psi)
-    assert np.array_equal(path.values, phi)
-    assert np.array_equal(path.local_time, eta)
+        dpsi = scale * normals[k] + drift
+        level = (math.sqrt(dpsi * dpsi + spread * expo[k]) - dpsi) * 0.5 - psi
+        psi += dpsi
+        eta = max(eta, level)
+        values.append(psi + eta)
+        local.append(eta)
+    assert local[-1] > 0.0
+    assert path.values.tolist() == values
+    assert path.local_time.tolist() == local
 
 
 def test_exponential_stream_is_the_jumped_normal_stream():
     for seed, block in ((0, 0), (9, 4), (21, 1562)):
-        gen_n, gen_e = _block_streams(seed, block, bridge=True)
+        gen_n, gen_e = _block_streams(seed, block)
         bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(block,)))
         # The states hold short arrays, which repr prints in full.
         assert repr(gen_n.bit_generator.state) == repr(bits.state)
@@ -92,7 +96,7 @@ def test_reflected_brownian_motion_mean():
     # Paths 0-399 of one batch of blocks are the paths simulate_wcp gives
     # for those ids.
     blocks = range(-(-400 // wcp._LANES))
-    lanes = wcp._steps(ModePolicy.constant(0), ((0.0, 1.0),), 0.0, 1e-3, 1000, 5, blocks, True)
+    lanes = wcp._steps(ModePolicy.constant(0), ((0.0, 1.0),), 0.0, 1e-3, 1000, 5, blocks)
     for z, _ in lanes:
         pass
     vals = z.ravel()[:400].copy()
@@ -148,14 +152,14 @@ def test_path_costs_independent_of_path_count():
     pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
     coef = ((-0.1, 0.8), (0.1, 0.5))
     args = (pol, coef, 1.0, 0.4, 1e-2, 250)
-    short = wcp._path_costs(*args, 300, 12, True)
-    long = wcp._path_costs(*args, 384, 12, True)
+    short = wcp._path_costs(*args, 300, 12)
+    long = wcp._path_costs(*args, 384, 12)
     assert len(short) == 300 and len(long) == 384
     assert np.array_equal(short, long[:300])
 
 
 def test_recorded_path_is_the_estimates_lane():
-    # A switching policy, both schemes, and path 133: lane 5 of block 2.
+    # A switching policy and path 133: lane 5 of block 2.
     pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
     coef = ((-0.1, 0.8), (0.1, 0.5))
     gamma, z0, step, horizon = 0.7, 0.2, 1e-2, 6.0
@@ -164,19 +168,18 @@ def test_recorded_path_is_the_estimates_lane():
     ids = (0, 1, 2 * wcp._LANES + 5)
     weights = np.exp(-gamma * step * np.arange(n_steps + 1))
     weights[[0, -1]] *= 0.5
-    for bridge in (True, False):
-        kernel = np.empty((n_steps + 1, len(ids)))
-        kernel[0] = z0
-        lanes = wcp._steps(pol, coef, z0, step, n_steps, 4, range(3), bridge)
-        for k, (z, _) in enumerate(lanes, 1):
-            kernel[k] = z.ravel()[list(ids)]
-        paths = [simulate_wcp(pol, coef, z0, step, horizon, 4, p, bridge) for p in ids]
-        for path, lane in zip(paths, kernel.T):
-            assert np.array_equal(path.values, lane)
-            assert set(path.mode_trace) == {0, 1}
-        est = estimate_wcp_cost(pol, coef, gamma, z0, step, horizon, 2, 4, bridge)
-        costs = [step * weights @ path.values for path in paths[:2]]
-        assert np.mean(costs) == pytest.approx(est.mean, rel=1e-13, abs=0.0)
+    kernel = np.empty((n_steps + 1, len(ids)))
+    kernel[0] = z0
+    lanes = wcp._steps(pol, coef, z0, step, n_steps, 4, range(3))
+    for k, (z, _) in enumerate(lanes, 1):
+        kernel[k] = z.ravel()[list(ids)]
+    paths = [simulate_wcp(pol, coef, z0, step, horizon, 4, p) for p in ids]
+    for path, lane in zip(paths, kernel.T):
+        assert np.array_equal(path.values, lane)
+        assert set(path.mode_trace) == {0, 1}
+    est = estimate_wcp_cost(pol, coef, gamma, z0, step, horizon, 2, 4)
+    costs = [step * weights @ path.values for path in paths[:2]]
+    assert np.mean(costs) == pytest.approx(est.mean, rel=1e-13, abs=0.0)
 
 
 def _noise_threads():
@@ -189,7 +192,7 @@ def test_no_noise_thread_outlives_a_run():
     estimate_wcp_cost(pol, coef, gamma=1.0, step=1e-2, horizon=8.0, n_paths=100, seed=1)
     assert _noise_threads() == []
     # Stopped one step past a chunk boundary, with the next chunk in flight.
-    lanes = wcp._steps(pol, coef, 0.0, 1e-2, 3 * wcp._CHUNK, 1, range(2), True)
+    lanes = wcp._steps(pol, coef, 0.0, 1e-2, 3 * wcp._CHUNK, 1, range(2))
     for _ in range(wcp._CHUNK + 1):
         next(lanes)
     lanes.close()
@@ -223,30 +226,6 @@ def test_failed_noise_fill_reaches_the_caller(monkeypatch):
     assert [str(e) for e in errors] == ["fill failed"]
     assert calls[1] == "wcp-noise"
     assert _noise_threads() == []
-
-
-# sha256 of times, values, local_time and mode_trace of plain-scheme paths,
-# recorded when the streams became one per block of _LANES paths.
-PLAIN_PATH_SHA256 = {
-    (3, "threshold"): "6253d380b9c2211a3842db327ef792ee022fe0c4ba01919d40573fcc183c0785",
-    (3, "static:1"): "d8a56d91c645c30522dd04ca09ade3f2dbfcabd170f1fffe26150e3e5c389242",
-    (17, "threshold"): "4bf2eae0ba4472861e0a2e719e2095524def11551fab45d413369add12165075",
-    (17, "static:1"): "58f4176cf007bc37122001e81a01468d8461b7a43cf952c60be05bcf062d016e",
-}
-
-
-@pytest.mark.parametrize("seed, label", sorted(PLAIN_PATH_SHA256))
-def test_plain_scheme_paths_pinned(seed, label):
-    pol = {
-        "threshold": ModePolicy(thresholds=(0.5,), modes=(0, 1)),
-        "static:1": ModePolicy.constant(1),
-    }[label]
-    coef = ((-0.05, 0.3), (-0.15, 0.45))
-    path = simulate_wcp(pol, coef, 0.25, 1e-2, 13.0, seed=seed, path_id=5, bridge=False)
-    sha = hashlib.sha256()
-    for arr in (path.times, path.values, path.local_time, path.mode_trace):
-        sha.update(arr.tobytes())
-    assert sha.hexdigest() == PLAIN_PATH_SHA256[seed, label]
 
 
 # Bridge-scheme pins, recorded when the streams became one per block of
@@ -341,25 +320,29 @@ def test_input_validation():
 
 STEP_ERROR = "need 0 < step <= horizon"
 Z0_ERROR = "z0 must be finite and nonnegative"
+MODE_ERROR = r"mode -?\d+ is not in 0\.\.0"
 
 
 @pytest.mark.parametrize(
-    "step, horizon, z0, path_id, match",
+    "step, horizon, z0, path_id, mode, match",
     [
-        pytest.param(0.0, 1.0, 0.0, 0, STEP_ERROR, id="0.0-1.0"),
-        pytest.param(-1.0, 1.0, 0.0, 0, STEP_ERROR, id="-1.0-1.0"),
-        pytest.param(math.nan, 1.0, 0.0, 0, STEP_ERROR, id="nan-1.0"),
-        pytest.param(1e-2, 1e-3, 0.0, 0, STEP_ERROR, id="0.01-0.001"),
-        pytest.param(1e-2, math.inf, 0.0, 0, STEP_ERROR, id="0.01-inf"),
-        pytest.param(1e-2, 1.0, -1.0, 0, Z0_ERROR, id="z0=-1"),
-        pytest.param(1e-2, 1.0, math.nan, 0, Z0_ERROR, id="z0=nan"),
-        pytest.param(1e-2, 1.0, math.inf, 0, Z0_ERROR, id="z0=inf"),
-        pytest.param(1e-2, 1.0, 0.0, -1, "path_id must be nonnegative", id="path_id=-1"),
+        pytest.param(0.0, 1.0, 0.0, 0, 0, STEP_ERROR, id="0.0-1.0"),
+        pytest.param(-1.0, 1.0, 0.0, 0, 0, STEP_ERROR, id="-1.0-1.0"),
+        pytest.param(math.nan, 1.0, 0.0, 0, 0, STEP_ERROR, id="nan-1.0"),
+        pytest.param(1e-2, 1e-3, 0.0, 0, 0, STEP_ERROR, id="0.01-0.001"),
+        pytest.param(1e-2, math.inf, 0.0, 0, 0, STEP_ERROR, id="0.01-inf"),
+        pytest.param(1e-2, 1.0, -1.0, 0, 0, Z0_ERROR, id="z0=-1"),
+        pytest.param(1e-2, 1.0, math.nan, 0, 0, Z0_ERROR, id="z0=nan"),
+        pytest.param(1e-2, 1.0, math.inf, 0, 0, Z0_ERROR, id="z0=inf"),
+        pytest.param(1e-2, 1.0, 0.0, -1, 0, "path_id must be nonnegative", id="path_id=-1"),
+        pytest.param(1e-2, 1.0, 0.0, 0, -1, MODE_ERROR, id="mode=-1"),
+        pytest.param(1e-2, 1.0, 0.0, 0, 1, MODE_ERROR, id="mode=1"),
     ],
 )
-def test_step_and_horizon_checked_by_both_entry_points(step, horizon, z0, path_id, match):
-    # estimate_wcp_cost takes no path id: it runs paths 0 onwards.
-    pol = ModePolicy.constant(0)
+def test_step_and_horizon_checked_by_both_entry_points(step, horizon, z0, path_id, mode, match):
+    # estimate_wcp_cost takes no path id: it runs paths 0 onwards. A policy
+    # mode must index the single mode of coef.
+    pol = ModePolicy.constant(mode)
     coef = ((0.0, 1.0),)
     if path_id == 0:
         with pytest.raises(ValueError, match=match):
