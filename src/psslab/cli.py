@@ -9,8 +9,8 @@ lower-bound comparison). Reports are JSON documents on stdout (and under
 configuration, the seed, and the toolkit version; exact rationals are
 rendered as {"exact": "p/q", "approx": float}. Reports are byte-stable
 for a fixed (instance, config, seed) except for the top-level "timing"
-key, which holds wall seconds: the total and, for sim-wcp, sim-qcp and
-verify-bound, one figure per stage under "stages". Traces are CSV, long
+key, which holds wall seconds: the total and, for every command but
+analyze, one figure per stage under "stages". Traces are CSV, long
 form ``t,series,name,value`` by default or one column per series with
 --wide.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -32,6 +33,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +43,6 @@ from .hjb import (
     HjbConfig,
     HjbConvergenceError,
     HjbSolution,
-    ModePolicy,
     compute_v0,
     dominant_mode,
     extract_policy,
@@ -66,7 +67,7 @@ from .qcp import (
     run_qcp,
     verify_lower_bound,
 )
-from .wcp import estimate_wcp_cost, simulate_wcp
+from .wcp import default_horizon, estimate_wcp_cost, simulate_wcp
 
 EXIT_OK = 0
 EXIT_PARSE = 10
@@ -98,6 +99,18 @@ def _n_list(text: str) -> tuple[int, ...]:
     return n_list
 
 
+_STATIC = r"static:(0|[1-9]\d*)"  # a mode index has no leading zeros
+# The --policy grammar of each command: a pattern and how to quote it.
+_POLICIES = {
+    "sim-wcp": (rf"hjb|{_STATIC}", "hjb or static:<mode>"),
+    "sim-qcp": (
+        rf"{_STATIC}(:wc)?|threshold(:wc)?|priority",
+        "static:<mode>[:wc], threshold[:wc] or priority",
+    ),
+}
+_POLICIES["verify-bound"] = _POLICIES["sim-qcp"]
+
+
 def _check_options(args: argparse.Namespace) -> None:
     """Refuse option values a stage would reject, before any work."""
     cmd = args.command
@@ -106,20 +119,21 @@ def _check_options(args: argparse.Namespace) -> None:
     if cmd in ("solve-hjb", "sim-wcp", "verify-bound"):
         _need(args.grid_n >= 3, "--grid-n must be at least 3")
         _need(args.z_max is None or _positive(args.z_max), "--z-max must be a positive number")
+    if cmd in _POLICIES:
+        pattern, grammar = _POLICIES[cmd]
+        for text in [args.policy] if cmd != "verify-bound" else args.policy or ():
+            _need(
+                re.fullmatch(pattern, text) is not None,
+                f"unknown policy {text!r}; use {grammar}",
+            )
     if cmd == "sim-wcp":
         _need(_positive(args.step), "--step must be a positive number")
         _need(args.reps >= 2, "--reps must be at least 2")
         _need(
-            re.fullmatch(r"hjb|static:\d+", args.policy) is not None,
-            "sim-wcp policy must be hjb or static:<mode>",
+            args.horizon is None or (math.isfinite(args.horizon) and args.horizon >= args.step),
+            f"horizon {args.horizon} is shorter than --step",
         )
     if cmd in ("sim-qcp", "verify-bound"):
-        for text in [args.policy] if cmd == "sim-qcp" else args.policy or ():
-            _need(
-                re.fullmatch(r"static:(0|[1-9]\d*)(:wc)?|threshold(:wc)?|priority", text)
-                is not None,
-                f"unknown policy {text!r}; use static:<mode>[:wc], threshold[:wc] or priority",
-            )
         _need(
             args.horizon is None or (math.isfinite(args.horizon) and args.horizon >= 0),
             "--horizon must be a nonnegative number",
@@ -153,10 +167,18 @@ def _dual_doc(dual: DualSolution) -> dict:
     return {"y": [_rat(v) for v in dual.y], "z": [_rat(v) for v in dual.z]}
 
 
+def _coefficients_doc(coefficients) -> list:
+    return [{"mode": m, "b": b, "sigma2": s2} for m, (b, s2) in enumerate(coefficients)]
+
+
+def _intervals_doc(policy) -> list:
+    return [{"lo": lo, "hi": _finite(hi), "mode": m} for lo, hi, m in policy.intervals]
+
+
 def _analysis_doc(analysis: LpAnalysis) -> dict:
     inst = analysis.instance
     rep = analysis.assumptions
-    doc = {
+    return {
         "activities": [
             {"class": a.class_index, "server": a.server_index} for a in inst.activities
         ],
@@ -189,10 +211,7 @@ def _analysis_doc(analysis: LpAnalysis) -> dict:
         "q": analysis.q,
         "coefficients": None
         if analysis.coefficients is None
-        else [
-            {"mode": m, "b": b, "sigma2": s2}
-            for m, (b, s2) in enumerate(analysis.coefficients)
-        ],
+        else _coefficients_doc(analysis.coefficients),
         "decomposition": {
             "status": analysis.decomposition.status,
             "detail": analysis.decomposition.detail,
@@ -204,24 +223,17 @@ def _analysis_doc(analysis: LpAnalysis) -> dict:
             else [_rat(v) for v in analysis.decomposition.decomposition.beta],
         },
     }
-    return doc
 
 
 def _hjb_doc(solution: HjbSolution) -> dict:
-    policy = extract_policy(solution)
     return {
-        "coefficients": [
-            {"mode": m, "b": b, "sigma2": s2}
-            for m, (b, s2) in enumerate(solution.coefficients)
-        ],
+        "coefficients": _coefficients_doc(solution.coefficients),
         "gamma": solution.gamma,
         "grid_n": len(solution.grid) - 1,
         "z_max": float(solution.grid[-1]),
         "u0": solution.u0,
         "switch_points": list(solution.switch_points),
-        "policy_intervals": [
-            {"lo": lo, "hi": _finite(hi), "mode": m} for lo, hi, m in policy.intervals
-        ],
+        "policy_intervals": _intervals_doc(extract_policy(solution)),
         "dominant_mode": dominant_mode(solution.coefficients),
         "residual_max": solution.residual_max,
         "excess_min": solution.excess_min,
@@ -229,24 +241,15 @@ def _hjb_doc(solution: HjbSolution) -> dict:
     }
 
 
-def _estimate_doc(est) -> dict:
-    return {
-        "mean": est.mean,
-        "half_width_95": est.half_width_95,
-        "n_paths": est.n_paths,
-        "step": est.step,
-        "horizon": est.horizon,
-        "truncation_bound": est.truncation_bound,
-    }
-
-
-def _meta(args: argparse.Namespace, raw: bytes, config: dict) -> dict:
+def _meta(args: argparse.Namespace, raw: bytes, *options: str, **config) -> dict:
+    """The report's meta block; its config holds the named options' values
+    and the resolved ones given as keywords."""
     return {
         "command": args.command,
         "toolkit_version": __version__,
         "instance_sha256": hashlib.sha256(raw).hexdigest(),
         "seed": getattr(args, "seed", None),
-        "config": config,
+        "config": {**{name: getattr(args, name) for name in options}, **config},
     }
 
 
@@ -309,8 +312,36 @@ def _require_assumptions(analysis: LpAnalysis) -> None:
     raise AssumptionError(f"instance fails structural assumptions: {detail}", rep.failing_parts)
 
 
+def _prepare(args: argparse.Namespace, stages: dict):
+    """The instance's bytes, the instance and its analysis, which must pass
+    the structural assumptions, and solution_of(): the workload equation
+    solved at most once, on the command's --grid-n and --z-max (HjbConfig's
+    defaults where it has none). The analysis and the solve are timed under
+    the "analyze" and "hjb" stages."""
+    raw, inst = _load(args)
+    # _check_options checked an explicit horizon; the default needs gamma.
+    if args.command == "sim-wcp" and args.horizon is None:
+        horizon = default_horizon(inst.gamma)
+        _need(
+            math.isfinite(horizon) and horizon >= args.step,
+            f"horizon {horizon} is shorter than --step",
+        )
+    with _stage(stages, "analyze"):
+        analysis = analyze(inst)
+    _require_assumptions(analysis)
+    config = HjbConfig(z_max=args.z_max, grid_n=args.grid_n) if "grid_n" in args else HjbConfig()
+
+    @functools.cache
+    def solution_of() -> HjbSolution:
+        with _stage(stages, "hjb"):
+            return solve_hjb(analysis.coefficients, inst.gamma, config)
+
+    return raw, inst, analysis, solution_of
+
+
 def _parse_policy(text: str, analysis: LpAnalysis, solution_of: "callable") -> PolicySpec:
-    """A --policy value whose syntax _check_options has accepted."""
+    """A --policy value whose syntax _check_options has accepted; sim-wcp's
+    hjb is the threshold policy."""
     parts = text.split(":")
     wc = parts[-1] == "wc"
     if parts[0] == "static":
@@ -318,7 +349,7 @@ def _parse_policy(text: str, analysis: LpAnalysis, solution_of: "callable") -> P
         if mode >= len(analysis.modes):
             raise CliError(f"mode {mode} out of range 0..{len(analysis.modes) - 1}")
         return PolicySpec.static_mode(mode, work_conserving=wc)
-    if parts[0] == "threshold":
+    if parts[0] in ("threshold", "hjb"):
         return PolicySpec.workload_threshold(extract_policy(solution_of()), work_conserving=wc)
     return PolicySpec.server_priority(analysis.instance.server_activities)
 
@@ -327,7 +358,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     raw, inst = _load(args)
     analysis = analyze(inst)
-    doc = {"meta": _meta(args, raw, {}), "analysis": _analysis_doc(analysis)}
+    doc = {"meta": _meta(args, raw), "analysis": _analysis_doc(analysis)}
     _emit(doc, args, started)
     rep = analysis.assumptions
     return EXIT_OK if rep.all_pass else _assumption_status(rep.failing_parts)
@@ -335,18 +366,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_solve_hjb(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    raw, inst = _load(args)
-    analysis = analyze(inst)
-    _require_assumptions(analysis)
-    config = HjbConfig(z_max=args.z_max, grid_n=args.grid_n)
-    solution = solve_hjb(analysis.coefficients, inst.gamma, config)
+    stages = dict.fromkeys(("analyze", "hjb"), 0.0)
+    raw, inst, analysis, solution_of = _prepare(args, stages)
+    solution = solution_of()
     doc = {
-        "meta": _meta(args, raw, {"grid_n": args.grid_n, "z_max": args.z_max}),
+        "meta": _meta(args, raw, "grid_n", "z_max"),
         "hjb": _hjb_doc(solution),
         "v0": compute_v0(inst, analysis, solution),
         "q": analysis.q,
     }
-    _emit(doc, args, started)
+    _emit(doc, args, started, stages)
     if args.out:
         _write_csv(
             os.path.join(args.out, "hjb-solution.csv"),
@@ -361,28 +390,13 @@ def cmd_solve_hjb(args: argparse.Namespace) -> int:
 def cmd_sim_wcp(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     stages = dict.fromkeys(("analyze", "hjb", "wcp"), 0.0)
-    raw, inst = _load(args)
-    horizon = args.horizon if args.horizon is not None else 12.0 / inst.gamma
-    _need(math.isfinite(horizon) and horizon >= args.step, f"horizon {horizon} is shorter than --step")
-    with _stage(stages, "analyze"):
-        analysis = analyze(inst)
-    _require_assumptions(analysis)
+    raw, inst, analysis, solution_of = _prepare(args, stages)
     coeffs = analysis.coefficients
-    reference_u0 = None
+    policy = _parse_policy(args.policy, analysis, solution_of).selector
     if args.policy == "hjb":
-        with _stage(stages, "hjb"):
-            solution = solve_hjb(
-                coeffs, inst.gamma, HjbConfig(z_max=args.z_max, grid_n=args.grid_n)
-            )
-        policy = extract_policy(solution)
-        reference_u0 = solution.u0
-    else:  # static:<mode>, syntax checked by _check_options
-        mode = int(args.policy.split(":")[1])
-        if not 0 <= mode < len(coeffs):
-            raise CliError(f"mode {mode} out of range 0..{len(coeffs) - 1}")
-        policy = ModePolicy.constant(mode)
-        b, s2 = coeffs[mode]
-        reference_u0 = single_mode_value(b, s2, inst.gamma).u0
+        reference_u0 = solution_of().u0
+    else:
+        reference_u0 = single_mode_value(*coeffs[policy.modes[0]], inst.gamma).u0
     with _stage(stages, "wcp"):
         est = estimate_wcp_cost(
             policy,
@@ -394,34 +408,22 @@ def cmd_sim_wcp(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     doc = {
-        "meta": _meta(
-            args,
-            raw,
-            {
-                "policy": args.policy,
-                "step": args.step,
-                "horizon": args.horizon,
-                "reps": args.reps,
-                "grid_n": args.grid_n,
-                "z_max": args.z_max,
-            },
-        ),
-        "estimate": _estimate_doc(est),
+        "meta": _meta(args, raw, "policy", "step", "horizon", "reps", "grid_n", "z_max"),
+        "estimate": asdict(est),
         "paths": est.n_paths,
         "path_steps": est.n_paths * round(est.horizon / est.step),
         "reference_u0": reference_u0,
-        "policy_intervals": [
-            {"lo": lo, "hi": _finite(hi), "mode": m} for lo, hi, m in policy.intervals
-        ],
+        "policy_intervals": _intervals_doc(policy),
     }
     _emit(doc, args, started, stages)
     if args.out:
-        path = simulate_wcp(policy, coeffs, 0.0, args.step, horizon, args.seed, path_id=0)
+        path = simulate_wcp(policy, coeffs, 0.0, args.step, est.horizon, args.seed, path_id=0)
         _write_csv(
             os.path.join(args.out, "wcp-path.csv"),
             path.times,
             "wcp",
-            {"z": path.values, "local_time": path.local_time, "mode": path.mode_trace},
+            # The last row's mode is the policy's at the final value.
+            {"z": path.values, "local_time": path.local_time, "mode": policy.mode_of(path.values)},
             args.wide,
         )
     return EXIT_OK
@@ -430,15 +432,7 @@ def cmd_sim_wcp(args: argparse.Namespace) -> int:
 def cmd_sim_qcp(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     stages = dict.fromkeys(("analyze", "hjb", "qcp", "scaled_checks"), 0.0)
-    raw, inst = _load(args)
-    with _stage(stages, "analyze"):
-        analysis = analyze(inst)
-    _require_assumptions(analysis)
-
-    def solution_of() -> HjbSolution:
-        with _stage(stages, "hjb"):
-            return solve_hjb(analysis.coefficients, inst.gamma, HjbConfig())
-
+    raw, inst, analysis, solution_of = _prepare(args, stages)
     policy = _parse_policy(args.policy, analysis, solution_of)
     with _stage(stages, "qcp"):
         trace = run_qcp(inst, analysis, args.n, policy, horizon=args.horizon, seed=args.seed, rep=0)
@@ -448,7 +442,7 @@ def cmd_sim_qcp(args: argparse.Namespace) -> int:
     estimate = None
     if args.reps >= 2:
         with _stage(stages, "qcp"):
-            estimate = _estimate_doc(
+            estimate = asdict(
                 estimate_qcp_cost(
                     inst,
                     analysis,
@@ -461,25 +455,14 @@ def cmd_sim_qcp(args: argparse.Namespace) -> int:
                 )
             )
     doc = {
-        "meta": _meta(
-            args,
-            raw,
-            {"n": args.n, "policy": args.policy, "horizon": args.horizon, "reps": args.reps},
-        ),
+        "meta": _meta(args, raw, "n", "policy", "horizon", "reps"),
         "n": args.n,
         "policy": policy.label,
         "events": int(len(trace.times)) - 2,
         "horizon": trace.horizon,
         "estimate": estimate,
         "identity_residual": series.identity_residual,
-        "checks": {
-            "cost_vs_workload": checks.cost_vs_workload,
-            "cost_equality_on_axis": checks.cost_equality_on_axis,
-            "reflection": checks.reflection,
-            "state_nonneg": checks.state_nonneg,
-            "idleness_monotone": checks.idleness_monotone,
-            "max_relative_violation": checks.max_relative_violation,
-        },
+        "checks": {**asdict(checks), "max_relative_violation": checks.max_relative_violation},
     }
     _emit(doc, args, started, stages)
     if args.out:
@@ -497,23 +480,11 @@ def cmd_sim_qcp(args: argparse.Namespace) -> int:
 def cmd_verify_bound(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     stages = dict.fromkeys(("analyze", "hjb", "qcp"), 0.0)
-    raw, inst = _load(args)
-    with _stage(stages, "analyze"):
-        analysis = analyze(inst)
-    _require_assumptions(analysis)
-    with _stage(stages, "hjb"):
-        solution = solve_hjb(
-            analysis.coefficients, inst.gamma, HjbConfig(z_max=args.z_max, grid_n=args.grid_n)
-        )
-    if args.policy:
-        policies = tuple(
-            _parse_policy(text, analysis, lambda: solution) for text in args.policy
-        )
-    else:
-        policies = tuple(
-            PolicySpec.static_mode(m) for m in range(len(analysis.modes))
-        ) + (PolicySpec.workload_threshold(extract_policy(solution)),)
+    raw, inst, analysis, solution_of = _prepare(args, stages)
+    texts = args.policy or [f"static:{m}" for m in range(len(analysis.modes))] + ["threshold"]
+    policies = tuple(_parse_policy(text, analysis, solution_of) for text in texts)
     n_list = _n_list(args.n_list)
+    solution = solution_of()
     with _stage(stages, "qcp"):
         report = verify_lower_bound(
             inst,
@@ -529,28 +500,16 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
         "meta": _meta(
             args,
             raw,
-            {
-                "n_list": list(n_list),
-                "policies": [p.label for p in policies],
-                "reps": args.reps,
-                "horizon": args.horizon,
-                "grid_n": args.grid_n,
-                "z_max": args.z_max,
-            },
+            "reps",
+            "horizon",
+            "grid_n",
+            "z_max",
+            n_list=list(n_list),
+            policies=[p.label for p in policies],
         ),
         "v0": report.v0,
         "u0": report.u0,
-        "runs": [
-            {
-                "n": r.n,
-                "policy": r.policy,
-                "mean": r.mean,
-                "half_width_95": r.half_width_95,
-                "margin": r.margin,
-                "ok": r.ok,
-            }
-            for r in report.runs
-        ],
+        "runs": [asdict(r) for r in report.runs],
         "min_by_n": [{"n": n, "best_cost": c} for n, c in report.min_by_n],
         "verdict": report.verdict,
     }

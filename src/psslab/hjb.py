@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,7 +144,6 @@ class HjbSolution:
     iterations: int
     coefficients: Coefficients
     gamma: float
-    config: HjbConfig = field(repr=False)
 
 
 def _stencils(coefficients: Coefficients, dz: float, gamma: float):
@@ -353,7 +352,6 @@ def solve_hjb(
         iterations=iterations,
         coefficients=tuple(coefficients),
         gamma=gamma,
-        config=config,
     )
 
 

@@ -48,7 +48,7 @@ import numpy as np
 from .hjb import HjbSolution, ModePolicy, compute_v0
 from .lp import ActivityClass, AssumptionError, LpAnalysis
 from .model import PssInstance
-from .wcp import Z95, McEstimate, skorokhod_map
+from .wcp import McEstimate, default_horizon, skorokhod_map
 
 
 class SimulatorInvariantError(RuntimeError):
@@ -384,11 +384,12 @@ def _simulate(
 
 def _run_horizon(inst: PssInstance, n: int, horizon: float | None) -> float:
     """Check a run's n and horizon before any stream is drawn; the horizon
-    defaults to 12 / gamma. An infinite horizon would never end the loop."""
+    defaults to default_horizon(gamma). An infinite horizon would never
+    end the loop."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if horizon is None:
-        horizon = 12.0 / inst.gamma
+        horizon = default_horizon(inst.gamma)
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ValueError("horizon must be a finite nonnegative number")
     return horizon
@@ -446,6 +447,14 @@ def _doubled_grid(trace: QcpTrace):
     return times, x, arrivals, departures, busy
 
 
+def _check_trace(trace: QcpTrace, n: int, analysis: LpAnalysis) -> None:
+    """Refuse a trace of another n or of another instance than the analysis."""
+    if n != trace.n:
+        raise ValueError("n does not match the trace")
+    if trace.inst != analysis.instance:
+        raise ValueError("the trace is of another instance than the analysis")
+
+
 def compute_scaled(trace: QcpTrace, n: int, analysis: LpAnalysis) -> ScaledSeries:
     """Diffusion-scaled series on the doubled event grid.
 
@@ -453,8 +462,7 @@ def compute_scaled(trace: QcpTrace, n: int, analysis: LpAnalysis) -> ScaledSerie
     rounding (1e-6 of the series scale) aborts, since the identity is
     algebraically exact.
     """
-    if n != trace.n:
-        raise ValueError("n does not match the trace")
+    _check_trace(trace, n, analysis)
     if not analysis.assumptions.all_pass:
         raise AssumptionError(
             "scaled series need the unique dual point and classification",
@@ -603,15 +611,8 @@ def estimate_qcp_cost(
         results += (pool.map if pool else map)(_rep_cost, tasks)
     costs = np.array([r[0] for r in results])
     tail_h = float(np.mean([r[1] for r in results]))
-    mean = float(np.mean(costs))
-    hw = float(Z95 * np.std(costs, ddof=1) / math.sqrt(n_reps))
-    return McEstimate(
-        mean=mean,
-        half_width_95=hw,
-        n_paths=n_reps,
-        step=0.0,
-        horizon=horizon,
-        truncation_bound=math.exp(-inst.gamma * horizon) * tail_h / inst.gamma,
+    return McEstimate.from_costs(
+        costs, 0.0, horizon, math.exp(-inst.gamma * horizon) * tail_h / inst.gamma
     )
 
 
@@ -648,6 +649,10 @@ def verify_lower_bound(
     seed: int = 0,
 ) -> BoundReport:
     """Compare simulated costs at each (n, policy) against the bound v0."""
+    if not n_list:
+        raise ValueError("n_list must name at least one n")
+    if not policies:
+        raise ValueError("policies must name at least one policy")
     if not analysis.assumptions.all_pass:
         raise AssumptionError(
             "the lower bound is defined only under the structural assumptions",
@@ -686,6 +691,7 @@ def identity_residual_exact(trace: QcpTrace, n: int, analysis: LpAnalysis) -> Fr
     (floats) promote to rationals exactly, so the returned residual is
     identically zero unless the simulator's bookkeeping is broken.
     """
+    _check_trace(trace, n, analysis)
     rt = math.isqrt(n)
     if rt * rt != n:
         raise ValueError("exact shadow check needs a square n")

@@ -80,6 +80,21 @@ class McEstimate:
     horizon: float
     truncation_bound: float
 
+    @classmethod
+    def from_costs(
+        cls, costs: np.ndarray, step: float, horizon: float, truncation_bound: float
+    ) -> "McEstimate":
+        """The mean of per-path costs and its normal 95% half width."""
+        n = len(costs)
+        hw = float(Z95 * np.std(costs, ddof=1) / math.sqrt(n))
+        return cls(float(np.mean(costs)), hw, n, step, horizon, truncation_bound)
+
+
+def default_horizon(gamma: float) -> float:
+    """The simulated horizon when none is given: 12 / gamma, where the
+    discount factor is exp(-12), about 6e-6."""
+    return 12.0 / gamma
+
 
 def skorokhod_map(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-sided reflection of a path sampled on a grid.
@@ -359,21 +374,15 @@ def estimate_wcp_cost(
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be finite and positive")
     if horizon is None:
-        horizon = 12.0 / gamma
+        horizon = default_horizon(gamma)
     n_steps = _check_run(z0, step, horizon)
     costs = _path_costs(policy, coefficients, gamma, z0, step, n_steps, n_paths, seed)
-    mean = float(np.mean(costs))
-    hw = float(Z95 * np.std(costs, ddof=1) / math.sqrt(n_paths))
-    return McEstimate(
-        mean=mean,
-        half_width_95=hw,
-        n_paths=n_paths,
-        step=step,
-        horizon=n_steps * step,
-        truncation_bound=discounted_tail_bound(coefficients, gamma, z0, n_steps * step),
+    horizon = n_steps * step
+    return McEstimate.from_costs(
+        costs, step, horizon, discounted_tail_bound(coefficients, gamma, z0, horizon)
     )
 
 

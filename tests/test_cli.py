@@ -3,12 +3,13 @@
 import csv
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
 from conftest import INSTANCES
 from psslab import cli
-from psslab.cli import _estimate_doc, _parse_policy, main
+from psslab.cli import _parse_policy, main
 from psslab.hjb import extract_policy, solve_hjb
 from psslab.lp import analyze
 from psslab.model import load_instance
@@ -209,7 +210,7 @@ def test_sim_qcp_estimate_equals_estimate_qcp_cost(capsys):
     inst = load_instance(open(path_of("example_a2"), "rb").read())
     an = analyze(inst)
     est = estimate_qcp_cost(inst, an, 16, PolicySpec.static_mode(1), 3, horizon=2.0, seed=8)
-    assert doc_of(out)["estimate"] == _estimate_doc(est)
+    assert doc_of(out)["estimate"] == asdict(est)
 
 
 def test_sim_qcp_wide_csv(capsys, tmp_path):
@@ -300,6 +301,7 @@ def test_verify_bound_deterministic_report(capsys):
             ("sim-wcp", "--step", "1e-2", "--reps", "2", "--horizon", "1"),
             {"analyze", "hjb", "wcp"},
         ),
+        (("solve-hjb", "--grid-n", "100"), {"analyze", "hjb"}),
     ],
 )
 def test_stage_timings(capsys, argv, stages):
@@ -376,19 +378,99 @@ def test_n_list_checked_before_any_work(capsys, monkeypatch):
     assert out == "" and err == "error: --n-list must be comma-separated integers\n"
 
 
-@pytest.mark.parametrize("command", ["sim-qcp", "verify-bound"])
+BAD_POLICIES = ["static:0:junk", "threshold:foo", "priority:wc", "static:0:wc:wc", "static:-1", "static:01", "wc"]
+
+
 @pytest.mark.parametrize(
-    "policy",
-    ["static:0:junk", "threshold:foo", "priority:wc", "static:0:wc:wc", "static:-1", "static:01", "wc"],
+    "command, policy",
+    [
+        pytest.param(command, policy, id=f"{policy}-{command}")
+        for command in ("sim-qcp", "verify-bound", "sim-wcp")
+        for policy in BAD_POLICIES
+    ]
+    + [
+        # The prelimit policies are not diffusion policies.
+        pytest.param("sim-wcp", policy, id=f"{policy}-sim-wcp")
+        for policy in ("static:0:wc", "threshold", "priority")
+    ],
 )
 def test_policy_grammar_is_strict(capsys, command, policy):
     # verify-bound checks every --policy, not just the first.
-    first = ["--policy", "threshold"] if command == "verify-bound" else ["--n", "4"]
+    first = {"sim-qcp": ["--n", "4"], "verify-bound": ["--policy", "threshold"], "sim-wcp": []}[command]
     code, out, err = run(
         capsys, command, "--instance", path_of("mm1"), *first, "--policy", policy
     )
     assert code == 10
     assert out == "" and err.startswith("error: unknown policy")
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (["verify-bound", "--policy", "threshold", "--policy", "threshold:wc", "--n-list", "9"], 1),
+        (["sim-qcp", "--policy", "static:0", "--n", "9"], 0),
+        (["sim-wcp", "--policy", "static:0", "--step", "1e-2"], 0),
+    ],
+)
+def test_hjb_solved_at_most_once(capsys, monkeypatch, argv, solves):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_hjb(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_hjb", counted)
+    code, _, _ = run(
+        capsys, *argv, "--instance", path_of("example_a2"), "--reps", "2", "--horizon", "0.5"
+    )
+    assert code in (0, 40)
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--step", "0.1", "--horizon", "0.01"], "horizon 0.01 is shorter than --step"),
+        (["--step", "100"], "horizon 12.0 is shorter than --step"),
+    ],
+)
+def test_sim_wcp_horizon_checked_before_any_work(capsys, monkeypatch, argv, message):
+    # An explicit horizon is checked with the other options; the default,
+    # 12 / gamma, once the instance is loaded.
+    def no_analysis(inst):
+        raise AssertionError("analyze ran before the horizon was checked")
+
+    monkeypatch.setattr(cli, "analyze", no_analysis)
+    code, out, err = run(capsys, "sim-wcp", "--instance", path_of("mm1"), *argv)
+    assert code == 10
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_sim_wcp_path_csv(capsys, tmp_path):
+    out_dir = tmp_path / "p"
+    code, out, _ = run(
+        capsys,
+        "sim-wcp",
+        "--instance",
+        path_of("example_a2"),
+        "--step",
+        "1e-2",
+        "--horizon",
+        "2",
+        "--reps",
+        "2",
+        "--out",
+        str(out_dir),
+        "--wide",
+    )
+    assert code == 0
+    with open(out_dir / "wcp-path.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "z", "local_time", "mode"]
+    assert len(rows) == 1 + 201 and rows[-1][0] == "2.0"
+    # The mode column is the threshold policy's at each value.
+    cut = doc_of(out)["policy_intervals"][0]["hi"]
+    assert all(int(r[3]) == (float(r[1]) >= cut) for r in rows[1:])
 
 
 def test_policy_labels_round_trip(get_instance, get_analysis):

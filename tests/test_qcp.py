@@ -413,6 +413,33 @@ def test_scaled_series_require_assumptions(get_instance, get_analysis):
         compute_scaled(trace, 25, an_d)
 
 
+@pytest.mark.parametrize(
+    "check", [compute_scaled, identity_residual_exact], ids=["scaled", "exact"]
+)
+def test_trace_must_match_analysis(get_instance, get_analysis, check):
+    # example_a1 and example_a2 are both 2x2 with 4 activities, so a2's trace
+    # fits a1's arrays; only the instance comparison tells them apart.
+    inst, an = get_instance("example_a2"), get_analysis("example_a2")
+    trace = run_qcp(inst, an, n=25, policy=PolicySpec.static_mode(0), horizon=0.5, seed=3)
+    with pytest.raises(ValueError, match="another instance"):
+        check(trace, 25, get_analysis("example_a1"))
+    with pytest.raises(ValueError, match="n does not match"):
+        check(trace, 16, an)
+
+
+@pytest.mark.parametrize(
+    "n_list, policies, name",
+    [((), (PolicySpec.static_mode(0),), "n_list"), ((25,), (), "policies")],
+    ids=["n_list", "policies"],
+)
+def test_verify_bound_refuses_empty_lists(get_instance, get_analysis, n_list, policies, name):
+    # An empty n_list would be a vacuous PASS, with no runs.
+    inst, an = get_instance("mm1"), get_analysis("mm1")
+    sol = ps.solve_hjb(an.coefficients, inst.gamma, ps.HjbConfig(grid_n=100))
+    with pytest.raises(ValueError, match=name):
+        verify_lower_bound(inst, an, sol, n_list, policies, n_reps=2, horizon=0.5)
+
+
 def test_verify_bound_small(get_instance, get_analysis):
     from psslab.hjb import solve_hjb
 

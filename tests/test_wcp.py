@@ -314,8 +314,10 @@ def test_input_validation():
         simulate_wcp(pol, coef, 0.0, 1e-2, 1e-3, seed=0)
     with pytest.raises(ValueError):
         estimate_wcp_cost(pol, coef, gamma=1.0, n_paths=1)
-    with pytest.raises(ValueError):
-        estimate_wcp_cost(pol, coef, gamma=0.0)
+    # nan and inf pass a plain gamma <= 0 test and make the estimate nan.
+    for gamma in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            estimate_wcp_cost(pol, coef, gamma=gamma, horizon=1.0, n_paths=4)
 
 
 STEP_ERROR = "need 0 < step <= horizon"
