@@ -140,7 +140,7 @@ def _check_options(args: argparse.Namespace) -> None:
         )
         threads = os.environ.get("PSS_THREADS")
         _need(
-            threads is None or threads.strip().isdigit(),
+            threads is None or threads.strip().isdecimal(),
             f"PSS_THREADS must be a nonnegative integer, not {threads!r}",
         )
     if cmd == "sim-qcp":

@@ -24,12 +24,14 @@ two streams never overlap. A path therefore depends only on
 One kernel advances whole blocks of paths in lockstep. Noise is drawn
 _CHUNK steps at a time, each block's stream straight into its own
 (chunk, _LANES) slab with one call, so memory is O(batch x chunk)
-whatever the horizon. The draws release the interpreter lock, so a
-helper thread draws the next chunk into a second buffer while the
-kernel steps through the current one. A step finds each path's policy
-interval with one comparison per threshold, which counts the thresholds
-<= z exactly as a sorted search would, ties included, and gathers that
-interval's coefficients with one take.
+whatever the horizon. The draws release the interpreter lock: while the
+kernel steps through one chunk, a helper thread takes the next chunk's
+fill calls, one per block and stream, from a queue, and the kernel's
+thread takes those left once it has stepped. Each call runs once, so the
+draws do not depend on which thread makes them. A step finds each path's
+policy interval with one comparison per threshold, which counts the
+thresholds <= z exactly as a sorted search would, ties included, and
+gathers that interval's coefficients with one take.
 
 simulate_wcp gives one lane of that kernel bit for bit, but evaluates it
 a chunk at a time: on the guess that the policy interval of the chunk's
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,13 +180,16 @@ def _interval_lookup(thresholds, shape):
     return lookup
 
 
-def _fill_noise(streams, n, normals, expo):
-    """Draw the next n steps of every block into [:, :n] of the buffers
-    normals and expo: one call per block and stream, which fills that
-    block's (n, _LANES) slab step-major."""
-    for b, (gen_n, gen_e) in enumerate(streams):
-        gen_n.standard_normal(out=normals[b, :n])
-        gen_e.standard_exponential(out=expo[b, :n])
+def _fill_noise(calls):
+    """Make the fill calls (draw, out) of the deque calls until it is empty.
+    Both threads of _noise take calls from one deque, so each runs once and
+    the draws do not depend on which thread makes them."""
+    while True:
+        try:
+            draw, out = calls.popleft()
+        except IndexError:
+            return
+        draw(out=out)
 
 
 class _Helper(threading.Thread):
@@ -211,23 +217,27 @@ class _Helper(threading.Thread):
 
 def _noise(seed, blocks, n_steps):
     """Yield the noise of blocks, _CHUNK steps at a time: (normals, expo),
-    each of shape (len(blocks), n, _LANES) with n <= _CHUNK. The arrays
-    are valid until the next chunk is asked for: while the caller uses
-    them, a helper thread draws that next chunk into a second pair of
-    buffers. Closing the generator waits for the helper, so no thread
-    outlives it."""
+    each of shape (len(blocks), n, _LANES) with n <= _CHUNK, valid until
+    the next chunk is asked for. Meanwhile a helper thread and then the
+    caller take the next chunk's fill calls from one queue (_fill_noise);
+    each runs once, so the draws do not depend on which thread makes them.
+    Closing the generator waits for the helper, so no thread outlives it."""
     streams = [_block_streams(seed, b) for b in blocks]
     shape = (len(streams), _CHUNK, _LANES)
     bufs = [(np.empty(shape), np.empty(shape)) for _ in range(2)]
     sizes = [min(_CHUNK, n_steps - c0) for c0 in range(0, n_steps, _CHUNK)]
-    _fill_noise(streams, sizes[0], *bufs[0])
-    helper = None
+    draws = [g.standard_normal for g, _ in streams] + [g.standard_exponential for _, g in streams]
+    slabs = [[*normals, *expo] for normals, expo in bufs]
+    queues = (deque(zip(draws, (s[:n] for s in slabs[c % 2]))) for c, n in enumerate(sizes))
+    calls, helper = next(queues), None
     try:
         for c, n in enumerate(sizes):
+            _fill_noise(calls)
             if helper is not None:
                 helper.wait()
             if c + 1 < len(sizes):
-                helper = _Helper(_fill_noise, streams, sizes[c + 1], *bufs[(c + 1) % 2])
+                calls = next(queues)
+                helper = _Helper(_fill_noise, calls)
             normals, expo = bufs[c % 2]
             yield normals[:, :n], expo[:, :n]
     finally:

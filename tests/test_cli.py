@@ -354,6 +354,8 @@ def test_reports_written_under_out(capsys, tmp_path):
         (["sim-wcp", "--seed", "-1"], None),
         (["sim-qcp", "--n", "25", "--seed", "-1"], None),
         (["verify-bound", "--seed", "-1"], None),
+        # A superscript two is a digit to str.isdigit, but not to int().
+        (["verify-bound", "--reps", "2"], "²"),
     ],
 )
 def test_bad_options_exit_10(capsys, monkeypatch, argv, env):

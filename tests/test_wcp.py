@@ -1,5 +1,6 @@
 """Reflected diffusion simulation: reflection map, paths, estimates."""
 
+import collections
 import hashlib
 import math
 import threading
@@ -199,16 +200,66 @@ def test_no_noise_thread_outlives_a_run():
     assert _noise_threads() == []
 
 
-def test_failed_noise_fill_reaches_the_caller(monkeypatch):
-    fill = wcp._fill_noise
-    calls = []
+def _thread_of_fill():
+    return "helper" if threading.current_thread().name == "wcp-noise" else "caller"
 
-    def failing_fill(*args):
-        # The first fill runs on the caller's thread, the second on the helper.
-        calls.append(threading.current_thread().name)
-        if len(calls) == 2:
+
+def _one_filler(monkeypatch, filler):
+    """Patch _fill_noise so that, after the first chunk, which the caller
+    fills before any helper starts, only filler ("helper" or "caller")
+    makes fill calls. Returns the count of calls each made, "first" for the
+    first chunk's; clear it between runs."""
+    fill = wcp._fill_noise
+    made = collections.Counter()
+
+    def one_sided_fill(calls):
+        thread = _thread_of_fill()
+        if thread == "caller" and not made["first"]:
+            thread = "first"
+        if thread in (filler, "first"):
+            made[thread] += len(calls)
+            fill(calls)
+
+    monkeypatch.setattr(wcp, "_fill_noise", one_sided_fill)
+    return made
+
+
+@pytest.mark.parametrize("chunk", [37, 256])
+@pytest.mark.parametrize("filler", ["helper", "caller"])
+def test_noise_does_not_depend_on_which_thread_draws_it(monkeypatch, filler, chunk):
+    # 150 paths are three blocks, the last one part used; 600 steps are
+    # 17 chunks of 37, or two of 256 and a short one. Path 133 is lane 5
+    # of block 2.
+    pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
+    coef = ((-0.1, 0.8), (0.1, 0.5))
+    monkeypatch.setattr(wcp, "_CHUNK", chunk)
+    later_chunks = -(-600 // chunk) - 1
+
+    def runs():
+        yield estimate_wcp_cost(pol, coef, 0.7, 0.2, 1e-2, 6.0, 150, 3), 3
+        yield simulate_wcp(pol, coef, 0.2, 1e-2, 6.0, 3, 133).values.tobytes(), 1
+
+    ordinary = [out for out, _ in runs()]
+    made = _one_filler(monkeypatch, filler)
+    for (out, blocks), ref in zip(runs(), ordinary):
+        assert out == ref
+        # Every later chunk's call, one per block and stream, went to filler.
+        assert made == {"first": 2 * blocks, filler: 2 * blocks * later_chunks}
+        made.clear()
+
+
+def _run_with_failing_fill(monkeypatch, thread, nth):
+    """Run an estimate whose nth fill call on thread raises, and check that
+    the error reaches the caller and no helper thread is left."""
+    fill = wcp._fill_noise
+    made = collections.Counter()
+
+    def failing_fill(calls):
+        name = _thread_of_fill()
+        made[name] += 1
+        if (name, made[name]) == (thread, nth):
             raise RuntimeError("fill failed")
-        fill(*args)
+        fill(calls)
 
     monkeypatch.setattr(wcp, "_fill_noise", failing_fill)
     errors = []
@@ -224,8 +275,18 @@ def test_failed_noise_fill_reaches_the_caller(monkeypatch):
     caller.join(timeout=60.0)
     assert not caller.is_alive()
     assert [str(e) for e in errors] == ["fill failed"]
-    assert calls[1] == "wcp-noise"
     assert _noise_threads() == []
+
+
+def test_failed_noise_fill_reaches_the_caller(monkeypatch):
+    # The helper's first call, on the second chunk.
+    _run_with_failing_fill(monkeypatch, "helper", 1)
+
+
+def test_failed_caller_fill_reaches_the_caller(monkeypatch):
+    # The caller's first call fills the first chunk before any helper
+    # starts; its second, on the second chunk, runs while the helper does.
+    _run_with_failing_fill(monkeypatch, "caller", 2)
 
 
 # Bridge-scheme pins, recorded when the streams became one per block of
