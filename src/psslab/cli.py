@@ -89,6 +89,12 @@ def _positive(v: float) -> bool:
     return math.isfinite(v) and v > 0
 
 
+def _check_horizon(horizon: float, step: float) -> None:
+    """sim-wcp simulates at least one step over a finite horizon."""
+    _need(math.isfinite(horizon), f"horizon {horizon} is not a finite number")
+    _need(horizon >= step, f"horizon {horizon} is shorter than --step")
+
+
 def _n_list(text: str) -> tuple[int, ...]:
     """The values of --n-list: comma-separated positive integers."""
     try:
@@ -129,10 +135,8 @@ def _check_options(args: argparse.Namespace) -> None:
     if cmd == "sim-wcp":
         _need(_positive(args.step), "--step must be a positive number")
         _need(args.reps >= 2, "--reps must be at least 2")
-        _need(
-            args.horizon is None or (math.isfinite(args.horizon) and args.horizon >= args.step),
-            f"horizon {args.horizon} is shorter than --step",
-        )
+        if args.horizon is not None:
+            _check_horizon(args.horizon, args.step)
     if cmd in ("sim-qcp", "verify-bound"):
         _need(
             args.horizon is None or (math.isfinite(args.horizon) and args.horizon >= 0),
@@ -321,11 +325,7 @@ def _prepare(args: argparse.Namespace, stages: dict):
     raw, inst = _load(args)
     # _check_options checked an explicit horizon; the default needs gamma.
     if args.command == "sim-wcp" and args.horizon is None:
-        horizon = default_horizon(inst.gamma)
-        _need(
-            math.isfinite(horizon) and horizon >= args.step,
-            f"horizon {horizon} is shorter than --step",
-        )
+        _check_horizon(default_horizon(inst.gamma), args.step)
     with _stage(stages, "analyze"):
         analysis = analyze(inst)
     _require_assumptions(analysis)

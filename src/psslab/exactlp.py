@@ -7,6 +7,11 @@ terminates under degeneracy. Intended for the small dense programs
 arising from allocation problems (tens of variables), where exactness
 matters more than speed: optimal values, optimal faces, degeneracy and
 uniqueness questions are all decided without tolerances.
+
+A tableau is a list of rows, each a constraint row ending in its
+right-hand side, [a | b]. In the simplex the cost row comes last, with
+the negated objective in its corner. One Gauss-Jordan step, `_pivot`,
+serves the simplex, the vertex walk and `eliminate`.
 """
 
 from __future__ import annotations
@@ -65,6 +70,10 @@ def solve_lp(
     signs = [True] * n if nonneg is None else list(nonneg)
     if len(signs) != n:
         raise ValueError("nonneg length must match c")
+    if len(b_eq) != len(a_eq):
+        raise ValueError("b_eq length must match the rows of a_eq")
+    if len(b_ub) != len(a_ub):
+        raise ValueError("b_ub length must match the rows of a_ub")
     for row in a_eq:
         if len(row) != n:
             raise ValueError("a_eq row length must match c")
@@ -93,164 +102,110 @@ def solve_lp(
                 out[neg] = -v
         return out
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for row, b in zip(a_eq, b_eq):
-        rows.append(expand(row))
-        rhs.append(b)
-    n_slack = len(a_ub)
+    n_var, n_slack = len(std_c), len(a_ub)
+    rows = [expand(row) + [ZERO] * n_slack + [b] for row, b in zip(a_eq, b_eq)]
     for p, (row, b) in enumerate(zip(a_ub, b_ub)):
-        r = expand(row) + [ZERO] * n_slack
-        r[len(std_c) + p] = ONE
+        r = expand(row) + [ZERO] * n_slack + [b]
+        r[n_var + p] = ONE
         rows.append(r)
-        rhs.append(b)
-    for p in range(len(a_eq)):
-        rows[p] = rows[p] + [ZERO] * n_slack
-    std_c = std_c + [ZERO] * n_slack
+    n_std = n_var + n_slack
 
-    status, x_std, value = _simplex_standard(rows, rhs, std_c)
-    if status is not LpStatus.OPTIMAL:
-        return LpResult(status, None, None)
+    start = _phase_one(rows, n_std)
+    if start is None:
+        return LpResult(LpStatus.INFEASIBLE, None, None)
+    tab, basis = start
+    # Phase 2: price out the basic columns of the cost row [c | 0].
+    cost = std_c + [ZERO] * (n_slack + 1)
+    for row, j in zip(tab, basis):
+        cb = cost[j]
+        if cb != 0:
+            cost = [v - cb * w for v, w in zip(cost, row)]
+    tab.append(cost)
+    if not _pivot_loop(tab, basis, limit=n_std):
+        return LpResult(LpStatus.UNBOUNDED, None, None)
+    x_std = [ZERO] * n_std
+    for row, j in zip(tab, basis):
+        x_std[j] = row[-1]
     x = []
     for pos, neg in col_of:
         v = x_std[pos]
         if neg is not None:
             v = v - x_std[neg]
         x.append(v)
-    return LpResult(LpStatus.OPTIMAL, value, tuple(x))
-
-
-def _simplex_standard(
-    a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
-) -> tuple[LpStatus, list[Fraction], Fraction | None]:
-    """Two-phase simplex for min c.x, a x = b, x >= 0."""
-    n = len(c)
-    start = _phase_one(a, b, n)
-    if start is None:
-        return LpStatus.INFEASIBLE, [], None
-    tab, rhs, basis = start
-
-    # Phase 2.
-    m = len(tab)
-    cost = c[:]
-    obj = ZERO
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb != 0:
-            for j in range(n):
-                cost[j] -= cb * tab[i][j]
-            obj -= cb * rhs[i]
-    obj = _pivot_loop(tab, rhs, cost, basis, obj, limit=n)
-    if obj is None:
-        return LpStatus.UNBOUNDED, [], None
-    x = [ZERO] * n
-    for i in range(m):
-        x[basis[i]] = rhs[i]
-    return LpStatus.OPTIMAL, x, -obj
+    return LpResult(LpStatus.OPTIMAL, -tab[-1][-1], tuple(x))
 
 
 def _phase_one(
-    a: list[list[Fraction]], b: list[Fraction], n: int
-) -> tuple[list[list[Fraction]], list[Fraction], list[int]] | None:
-    """A feasible basis of a x = b, x >= 0 over n columns as (tableau,
-    rhs, basis), with redundant rows dropped; None when infeasible."""
-    m = len(a)
-    tab = [row[:] for row in a]
-    rhs = b[:]
-    for i in range(m):
-        if rhs[i] < 0:
-            tab[i] = [-v for v in tab[i]]
-            rhs[i] = -rhs[i]
-
-    # Artificial identity basis, minimize the artificial sum.
-    for i in range(m):
-        ext = [ZERO] * m
-        ext[i] = ONE
-        tab[i] = tab[i] + ext
+    ab: list[list[Fraction]], n: int
+) -> tuple[list[list[Fraction]], list[int]] | None:
+    """A feasible basis of a x = b, x >= 0 over n columns, given the rows
+    [a | b], as (tableau, basis) with redundant rows dropped; None when
+    infeasible."""
+    m = len(ab)
+    rows = [[-v for v in row] if row[-1] < 0 else row for row in ab]
+    # Artificial identity basis, minimize the artificial sum: the cost row
+    # is minus the column sums, and zero on the artificials.
+    sums = [-sum(col, ZERO) for col in zip(*rows)] if rows else [ZERO] * (n + 1)
+    tab = [
+        row[:n] + [ONE if k == i else ZERO for k in range(m)] + row[n:]
+        for i, row in enumerate(rows)
+    ]
+    tab.append(sums[:n] + [ZERO] * m + sums[n:])
     basis = [n + i for i in range(m)]
-    cost = [ZERO] * (n + m)
-    for j in range(n):
-        s = ZERO
-        for i in range(m):
-            s += tab[i][j]
-        cost[j] = -s
-    obj = -sum(rhs, ZERO)
     # Artificial columns never re-enter; once out they are dead.
-    obj = _pivot_loop(tab, rhs, cost, basis, obj, limit=n)
-    if obj is None or -obj != 0:
+    _pivot_loop(tab, basis, limit=n)
+    if tab[-1][-1] != 0:
         return None
 
     # Drive remaining artificials out of the basis, drop redundant rows.
     i = 0
-    while i < len(tab):
+    while i < len(basis):
         if basis[i] >= n:
             piv = next((j for j in range(n) if tab[i][j] != 0), None)
             if piv is None:
-                del tab[i], rhs[i], basis[i]
+                del tab[i], basis[i]
                 continue
-            _pivot(tab, rhs, cost, i, piv)
+            _pivot(tab, i, piv)
             basis[i] = piv
         i += 1
-    return [row[:n] for row in tab], rhs, basis
+    return [row[:n] + row[-1:] for row in tab[:-1]], basis
 
 
-def _pivot_loop(
-    tab: list[list[Fraction]],
-    rhs: list[Fraction],
-    cost: list[Fraction],
-    basis: list[int],
-    obj: Fraction,
-    limit: int,
-) -> Fraction | None:
-    """Run Bland-rule pivots until optimal (returns obj) or unbounded (None)."""
-    m = len(tab)
+def _pivot_loop(tab: list[list[Fraction]], basis: list[int], limit: int) -> bool:
+    """Run Bland-rule pivots on the constraint rows and the cost row
+    tab[-1] until optimal (True) or unbounded (False)."""
+    m = len(basis)
     while True:
-        enter = next((j for j in range(limit) if cost[j] < 0), None)
+        enter = next((j for j in range(limit) if tab[-1][j] < 0), None)
         if enter is None:
-            return obj
+            return True
         leave = -1
         best: Fraction | None = None
         for i in range(m):
             coef = tab[i][enter]
             if coef > 0:
-                ratio = rhs[i] / coef
+                ratio = tab[i][-1] / coef
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave < 0:
-            return None
-        # obj tracks the negative objective; z moves by cost[enter] * ratio.
-        obj -= cost[enter] * (rhs[leave] / tab[leave][enter])
-        _pivot(tab, rhs, cost, leave, enter)
+            return False
+        _pivot(tab, leave, enter)
         basis[leave] = enter
 
 
-def _pivot(
-    tab: list[list[Fraction]],
-    rhs: list[Fraction],
-    cost: list[Fraction] | None,
-    row: int,
-    col: int,
-) -> None:
-    piv = tab[row][col]
-    inv = ONE / piv
-    tab[row] = [v * inv for v in tab[row]]
-    rhs[row] *= inv
-    prow = tab[row]
-    pb = rhs[row]
-    for i in range(len(tab)):
+def _pivot(tab: list[list[Fraction]], row: int, col: int) -> None:
+    """The Gauss-Jordan step: scale tab[row] to 1 in col, then clear col
+    from every other row. Changed rows are replaced, never edited in
+    place, so tableaux may share their unchanged rows."""
+    inv = ONE / tab[row][col]
+    prow = tab[row] = [v * inv for v in tab[row]]
+    for i, other in enumerate(tab):
         if i == row:
             continue
-        f = tab[i][col]
+        f = other[col]
         if f != 0:
-            tab[i] = [v - f * w for v, w in zip(tab[i], prow)]
-            rhs[i] -= f * pb
-    if cost is None:
-        return
-    f = cost[col]
-    if f != 0:
-        for j in range(len(cost)):
-            cost[j] -= f * prow[j]
+            tab[i] = [v - f * w for v, w in zip(other, prow)]
 
 
 def eliminate(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -273,12 +228,7 @@ def eliminate(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]],
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = ONE / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
+        _pivot(mat, rank, col)
         pivots.append(col)
     return mat[: len(pivots)], pivots
 
@@ -288,6 +238,8 @@ def solve_square(
 ) -> list[Fraction] | None:
     """Solve a square rational system exactly; None if singular."""
     n = len(b)
+    if len(a) != n or any(len(row) != n for row in a):
+        raise ValueError("a must be square with one row per entry of b")
     reduced, pivots = eliminate([list(row) + [bv] for row, bv in zip(a, b)])
     if pivots[:n] != list(range(n)):
         return None
@@ -310,20 +262,20 @@ def enumerate_vertices(
     whose bases and pivots all survive as feasible bases and pivots of the
     unperturbed system (Avis and Fukuda, Discrete Comput. Geom. 8, 1992).
     """
-    a = _frac_matrix(a)
-    b = _frac_vector(b)
+    if len(a) != len(b):
+        raise ValueError("b length must match the rows of a")
     n = len(a[0]) if a else 0
-    start = _phase_one(a, b, n)
+    start = _phase_one(_frac_matrix([[*row, bv] for row, bv in zip(a, b)]), n)
     if start is None:
         return []
-    seen = {frozenset(start[2])}
+    seen = {frozenset(start[1])}
     queue = deque([start])
     vertices: set[tuple[Fraction, ...]] = set()
     while queue:
-        tab, rhs, basis = queue.popleft()
+        tab, basis = queue.popleft()
         x = [ZERO] * n
-        for i, j in enumerate(basis):
-            x[j] = rhs[i]
+        for row, j in zip(tab, basis):
+            x[j] = row[-1]
         vertices.add(tuple(x))
         basic = frozenset(basis)
         for col in range(n):
@@ -333,7 +285,7 @@ def enumerate_vertices(
             leaving: list[int] = []
             for i, row in enumerate(tab):
                 if row[col] > 0:
-                    ratio = rhs[i] / row[col]
+                    ratio = row[-1] / row[col]
                     if best is None or ratio < best:
                         best, leaving = ratio, [i]
                     elif ratio == best:
@@ -343,10 +295,10 @@ def enumerate_vertices(
                 if key in seen:
                     continue
                 seen.add(key)
-                nxt_tab = [row[:] for row in tab]
-                nxt_rhs = rhs[:]
-                _pivot(nxt_tab, nxt_rhs, None, i, col)
+                # _pivot replaces the rows it changes: the child shares the rest.
+                nxt_tab = tab[:]
+                _pivot(nxt_tab, i, col)
                 nxt_basis = basis[:]
                 nxt_basis[i] = col
-                queue.append((nxt_tab, nxt_rhs, nxt_basis))
+                queue.append((nxt_tab, nxt_basis))
     return sorted(vertices)

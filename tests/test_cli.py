@@ -434,6 +434,8 @@ def test_hjb_solved_at_most_once(capsys, monkeypatch, argv, solves):
     [
         (["--step", "0.1", "--horizon", "0.01"], "horizon 0.01 is shorter than --step"),
         (["--step", "100"], "horizon 12.0 is shorter than --step"),
+        (["--horizon", "inf"], "horizon inf is not a finite number"),
+        (["--horizon", "nan"], "horizon nan is not a finite number"),
     ],
 )
 def test_sim_wcp_horizon_checked_before_any_work(capsys, monkeypatch, argv, message):

@@ -132,3 +132,25 @@ def test_enumerate_vertices_matches_oracle_on_small_systems():
     for a, b in cases:
         assert enumerate_vertices(a, b) == enumerate_basic_feasible(a, b)
     assert enumerate_vertices([[O, O]], [-O]) == []
+
+
+def test_enumerate_vertices_drops_redundant_rows():
+    # The second row is twice the first: phase 1 drops it on the walk's path.
+    assert enumerate_vertices([[O, O], [F(2), F(2)]], [O, F(2)]) == [(Z, O), (O, Z)]
+    assert enumerate_vertices([[O, O], [F(2), F(2)]], [O, F(3)]) == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_lp([-O], a_ub=[[O]], b_ub=[]),
+        lambda: solve_lp([-O], a_ub=[[O]], b_ub=[O, F(5)]),
+        lambda: solve_lp([O, O], a_eq=[[O, Z], [Z, O]], b_eq=[F(2)]),
+        lambda: solve_square([[O, Z], [Z, O]], [O]),
+        lambda: enumerate_vertices([[O, O]], [O, F(3)]),
+        lambda: enumerate_vertices([[O, O], [O, -O]], [O]),
+    ],
+)
+def test_right_hand_side_length_checked(call):
+    with pytest.raises(ValueError):
+        call()
