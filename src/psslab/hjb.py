@@ -360,7 +360,8 @@ class ModePolicy:
     """Piecewise constant feedback: workload level -> mode index.
 
     ``modes[p]`` applies on [thresholds[p-1], thresholds[p]); the last
-    entry extends to infinity. Thresholds are strictly increasing.
+    entry extends to infinity. Thresholds are finite and strictly
+    increasing.
     """
 
     thresholds: tuple[float, ...]
@@ -369,6 +370,8 @@ class ModePolicy:
     def __post_init__(self) -> None:
         if len(self.modes) != len(self.thresholds) + 1:
             raise ValueError("need exactly one more mode than thresholds")
+        if not all(map(math.isfinite, self.thresholds)):
+            raise ValueError("thresholds must be finite")
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
 

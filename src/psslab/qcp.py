@@ -36,11 +36,9 @@ import math
 import os
 from array import array
 from bisect import bisect_right
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import mul
 
 import numpy as np
@@ -157,8 +155,6 @@ class ScaledSeries:
 
     times: np.ndarray
     x_hat: np.ndarray
-    a_hat: np.ndarray
-    s_hat: np.ndarray
     i_hat: np.ndarray
     w: np.ndarray
     f: np.ndarray
@@ -510,8 +506,6 @@ def compute_scaled(trace: QcpTrace, n: int, analysis: LpAnalysis) -> ScaledSerie
     return ScaledSeries(
         times=times,
         x_hat=x_hat,
-        a_hat=a_hat,
-        s_hat=s_hat,
         i_hat=i_hat,
         w=w,
         f=f,
@@ -554,28 +548,27 @@ def _rep_cost(args) -> tuple[float, float]:
     return _simulate(*args, record=False)[1:]
 
 
-# Process pool of the enclosing _worker_pool block, if any.
-_open_pool: ContextVar = ContextVar("_open_pool", default=None)
-
-
-@contextmanager
-def _worker_pool():
-    """Yield a pool of PSS_THREADS worker processes held open for the block
-    and shared by nested blocks, or None when PSS_THREADS is 1."""
+def _map_reps(tasks: list) -> list[tuple[float, float]]:
+    """(cost, H at horizon) of each replication task (_simulate's
+    arguments but record), in order: in this process when PSS_THREADS is
+    at most 1, else over one pool of PSS_THREADS worker processes."""
     threads = int(os.environ.get("PSS_THREADS", "1"))
-    if _open_pool.get() is not None or threads <= 1:
-        yield _open_pool.get()
-        return
+    if threads <= 1:
+        return list(map(_rep_cost, tasks))
     # Imported only when used: the process pool machinery adds about
     # 1.5 MB to every process that imports psslab.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        token = _open_pool.set(pool)
-        try:
-            yield pool
-        finally:
-            _open_pool.reset(token)
+        return list(pool.map(_rep_cost, tasks))
+
+
+def _summary(results: list[tuple[float, float]], gamma: float, horizon: float) -> McEstimate:
+    """Cost estimate from the (cost, H at horizon) of each replication;
+    the mean H at the horizon bounds the discarded tail."""
+    costs = np.array([r[0] for r in results])
+    tail_h = float(np.mean([r[1] for r in results]))
+    return McEstimate.from_costs(costs, 0.0, horizon, math.exp(-gamma * horizon) * tail_h / gamma)
 
 
 def estimate_qcp_cost(
@@ -593,7 +586,7 @@ def estimate_qcp_cost(
     The per-replication integral of exp(-gamma t) h.Xhat is evaluated
     exactly between events. Replication r draws from streams keyed by
     (seed, r), so estimates do not depend on scheduling; PSS_THREADS
-    enables a process pool over replications (see _worker_pool). rep0, a
+    spreads replications over worker processes (see _map_reps). rep0, a
     run_qcp trace of replication 0 of this run (same instance, n, policy,
     horizon and seed), supplies that replication's cost, which is then not
     simulated again.
@@ -607,13 +600,7 @@ def estimate_qcp_cost(
             raise ValueError("rep0 is not replication 0 of this run")
     results = [] if rep0 is None else [(rep0.cost, rep0.h_horizon)]
     tasks = [(inst, analysis, n, policy, horizon, seed, rep) for rep in range(len(results), n_reps)]
-    with _worker_pool() as pool:
-        results += (pool.map if pool else map)(_rep_cost, tasks)
-    costs = np.array([r[0] for r in results])
-    tail_h = float(np.mean([r[1] for r in results]))
-    return McEstimate.from_costs(
-        costs, 0.0, horizon, math.exp(-inst.gamma * horizon) * tail_h / inst.gamma
-    )
+    return _summary(results + _map_reps(tasks), inst.gamma, horizon)
 
 
 @dataclass(frozen=True)
@@ -658,28 +645,27 @@ def verify_lower_bound(
             "the lower bound is defined only under the structural assumptions",
             analysis.assumptions.failing_parts,
         )
+    if n_reps < 2:
+        raise ValueError("n_reps must be at least 2")
+    # Every n, the horizon and every policy are checked before the first
+    # replication.
+    for n in n_list:
+        horizon = _run_horizon(inst, n, horizon)
+        effective_rates(inst, n)
+    for policy in policies:
+        _Context(analysis, policy)
     v0 = compute_v0(inst, analysis, solution)
-    runs = []
-    with _worker_pool():
-        for n in n_list:
-            for policy in policies:
-                est = estimate_qcp_cost(
-                    inst, analysis, n, policy, n_reps, horizon=horizon, seed=seed
-                )
-                margin = est.mean - v0
-                runs.append(
-                    BoundRun(
-                        n=n,
-                        policy=policy.label,
-                        mean=est.mean,
-                        half_width_95=est.half_width_95,
-                        margin=margin,
-                        ok=margin >= -2.0 * est.half_width_95,
-                    )
-                )
-    min_by_n = tuple(
-        (n, min(r.mean for r in runs if r.n == n)) for n in n_list
+    pairs = list(product(n_list, policies))
+    results = _map_reps(
+        [(inst, analysis, n, p, horizon, seed, rep) for n, p in pairs for rep in range(n_reps)]
     )
+    runs = []
+    for k, (n, policy) in enumerate(pairs):
+        est = _summary(results[k * n_reps : (k + 1) * n_reps], inst.gamma, horizon)
+        margin = est.mean - v0
+        ok = margin >= -2.0 * est.half_width_95
+        runs.append(BoundRun(n, policy.label, est.mean, est.half_width_95, margin, ok))
+    min_by_n = tuple((n, min(r.mean for r in runs if r.n == n)) for n in n_list)
     verdict = "PASS" if all(r.ok for r in runs) else "FAIL"
     return BoundReport(v0=v0, u0=solution.u0, runs=tuple(runs), min_by_n=min_by_n, verdict=verdict)
 

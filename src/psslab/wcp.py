@@ -25,13 +25,13 @@ One kernel advances whole blocks of paths in lockstep. Noise is drawn
 _CHUNK steps at a time, each block's stream straight into its own
 (chunk, _LANES) slab with one call, so memory is O(batch x chunk)
 whatever the horizon. The draws release the interpreter lock: while the
-kernel steps through one chunk, a helper thread takes the next chunk's
-fill calls, one per block and stream, from a queue, and the kernel's
-thread takes those left once it has stepped. Each call runs once, so the
-draws do not depend on which thread makes them. A step finds each path's
-policy interval with one comparison per threshold, which counts the
-thresholds <= z exactly as a sorted search would, ties included, and
-gathers that interval's coefficients with one take.
+kernel steps through one chunk, the batch's one executor thread takes
+the next chunk's fill calls, one per block and stream, from a queue, and
+the kernel's thread takes those left once it has stepped. Each call runs
+once, so the draws do not depend on which thread makes them. A step
+finds each path's policy interval with one comparison per threshold,
+which counts the thresholds <= z exactly as a sorted search would, ties
+included, and gathers that interval's coefficients with one take.
 
 simulate_wcp gives one lane of that kernel bit for bit, but evaluates it
 a chunk at a time: on the guess that the policy interval of the chunk's
@@ -44,7 +44,6 @@ differs from the guess.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -192,36 +191,18 @@ def _fill_noise(calls):
         draw(out=out)
 
 
-class _Helper(threading.Thread):
-    """Runs fn(*args) on a daemon thread from construction on; wait() joins
-    it and raises the error fn raised, if any, in the waiting thread."""
-
-    def __init__(self, fn, *args):
-        super().__init__(name="wcp-noise", daemon=True)
-        self._call = fn, args
-        self.error = None
-        self.start()
-
-    def run(self) -> None:
-        fn, args = self._call
-        try:
-            fn(*args)
-        except Exception as exc:  # handed to the thread that waits
-            self.error = exc
-
-    def wait(self) -> None:
-        self.join()
-        if self.error is not None:
-            raise self.error
-
-
 def _noise(seed, blocks, n_steps):
     """Yield the noise of blocks, _CHUNK steps at a time: (normals, expo),
     each of shape (len(blocks), n, _LANES) with n <= _CHUNK, valid until
-    the next chunk is asked for. Meanwhile a helper thread and then the
-    caller take the next chunk's fill calls from one queue (_fill_noise);
-    each runs once, so the draws do not depend on which thread makes them.
-    Closing the generator waits for the helper, so no thread outlives it."""
+    the next chunk is asked for. Meanwhile the batch's one executor thread
+    and then the caller take the next chunk's fill calls from one queue
+    (_fill_noise); each runs once, so the draws do not depend on which
+    thread makes them. Leaving the executor, on close too, joins its
+    thread, so no thread outlives the generator."""
+    # Imported only when used: concurrent.futures loads logging, which
+    # importing psslab does not.
+    from concurrent.futures import ThreadPoolExecutor
+
     streams = [_block_streams(seed, b) for b in blocks]
     shape = (len(streams), _CHUNK, _LANES)
     bufs = [(np.empty(shape), np.empty(shape)) for _ in range(2)]
@@ -229,20 +210,17 @@ def _noise(seed, blocks, n_steps):
     draws = [g.standard_normal for g, _ in streams] + [g.standard_exponential for _, g in streams]
     slabs = [[*normals, *expo] for normals, expo in bufs]
     queues = (deque(zip(draws, (s[:n] for s in slabs[c % 2]))) for c, n in enumerate(sizes))
-    calls, helper = next(queues), None
-    try:
+    calls, filled = next(queues), None
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="wcp-noise") as helper:
         for c, n in enumerate(sizes):
             _fill_noise(calls)
-            if helper is not None:
-                helper.wait()
+            if filled is not None:
+                filled.result()
             if c + 1 < len(sizes):
                 calls = next(queues)
-                helper = _Helper(_fill_noise, calls)
+                filled = helper.submit(_fill_noise, calls)
             normals, expo = bufs[c % 2]
             yield normals[:, :n], expo[:, :n]
-    finally:
-        if helper is not None:
-            helper.join()
 
 
 def _bridge_level(dpsi, spread, expo, psi, out, tmp):

@@ -148,6 +148,14 @@ def test_mode_policy_validation_and_lookup():
         ModePolicy(thresholds=(1.0,), modes=(0,))
     with pytest.raises(ValueError):
         ModePolicy(thresholds=(2.0, 1.0), modes=(0, 1, 0))
+    # A NaN threshold would put 0.5 in interval 1 by bisect_right, as the
+    # prelimit simulator looks it up, but in interval 0 by searchsorted,
+    # as mode_of and the WCP kernel do.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ModePolicy(thresholds=(bad,), modes=(0, 1))
+        with pytest.raises(ValueError, match="finite"):
+            ModePolicy(thresholds=(0.2, bad), modes=(0, 1, 0))
     pol = ModePolicy(thresholds=(1.0, 3.0), modes=(2, 0, 1))
     assert [pol(z) for z in (0.0, 0.99, 1.0, 2.5, 3.0, 50.0)] == [2, 2, 0, 0, 1, 1]
     z = np.array([0.0, 0.99, 1.0, 2.5, 3.0, 50.0])

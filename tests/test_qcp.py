@@ -40,7 +40,8 @@ def test_effective_rates_scaling(get_instance):
     assert mu_n[1:] == [400.0, 600.0, 800.0]
 
 
-def test_minimum_n_reported():
+def _min_n10_instance():
+    """One class on one server whose smallest admissible n is 10."""
     doc = {
         "classes": [{"lambda": 1, "hat_lambda": 0.0, "c2_a": 1.0, "h": 1.0}],
         "servers": 1,
@@ -49,12 +50,35 @@ def test_minimum_n_reported():
     }
     import json
 
-    inst = ps.load_instance(json.dumps(doc))
+    return ps.load_instance(json.dumps(doc))
+
+
+def test_minimum_n_reported():
+    inst = _min_n10_instance()
     with pytest.raises(MinimumNError) as exc:
         effective_rates(inst, 4)
     assert exc.value.min_n == 10
     lam_n, mu_n = effective_rates(inst, 10)
     assert mu_n[0] > 0.0
+
+
+def test_verify_bound_checks_every_run_before_simulating(monkeypatch):
+    inst = _min_n10_instance()
+    an = ps.analyze(inst)
+    sol = ps.solve_hjb(an.coefficients, inst.gamma, ps.HjbConfig(grid_n=100))
+    simulated = []
+    monkeypatch.setattr(qcp, "_rep_cost", simulated.append)
+    static = (PolicySpec.static_mode(0),)
+    bad = [
+        ((100, 4), static, 1.0, MinimumNError, "smallest admissible n is 10"),
+        ((100, 0), static, 1.0, ValueError, "n must be a positive"),
+        ((100,), static, math.inf, ValueError, "horizon"),
+        ((100,), static + (PolicySpec.static_mode(5),), 1.0, ValueError, "mode 5"),
+    ]
+    for n_list, policies, horizon, error, match in bad:
+        with pytest.raises(error, match=match):
+            verify_lower_bound(inst, an, sol, n_list, policies, n_reps=8, horizon=horizon)
+    assert simulated == []
 
 
 def philox(key) -> np.random.Generator:
