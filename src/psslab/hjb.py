@@ -409,5 +409,9 @@ def compute_v0(inst: PssInstance, analysis: LpAnalysis, solution: HjbSolution) -
             "the lower bound requires all structural assumptions to hold",
             analysis.assumptions.failing_parts,
         )
+    if inst != analysis.instance:
+        raise ValueError("inst is of another instance than the analysis")
+    if solution.coefficients != analysis.coefficients or solution.gamma != inst.gamma:
+        raise ValueError("the solution is for other coefficients or another gamma")
     q = analysis.q
     return inst.h[q] / float(analysis.dual.y[q]) * solution.u0

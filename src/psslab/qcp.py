@@ -25,9 +25,20 @@ These satisfy W = F + L + Lan identically (it is an algebraic
 consequence of y*.lambda = 1, sum z* = 1 and y*_i mu_j = z*_k on the
 potentially basic activities), so the residual of that identity is a
 pure floating point check on the simulator and is verified on every
-scaled computation. The trace inequality checks cover the workload-cost
-comparison, the reflection lower bound through the Skorokhod map, and
-state/idleness monotonicity.
+scaled computation.
+
+The series live on a grid of 2E - 1 rows for E event rows: row 2k is
+event k and row 2k - 1 the left limit at event k. Between events only t
+and the cumulative efforts T move, so a left limit takes every count (A,
+D, X) from event k - 1's row and t and T from its own row. Each series
+is computed once per event row and split by that rule: Xhat, W, H and
+F's count part sum_i y*_i (A_i - sum_{j in J_i} D_j) / sqrt(n) hold the
+previous row; t, Ihat, L, Lan and F's part sqrt(n) (sum_j y*_i(j) mu_j
+T_j - t y*.lambda) take their own.
+
+The trace inequality checks cover the workload-cost comparison, the
+reflection lower bound through the Skorokhod map, and state/idleness
+monotonicity.
 """
 
 from __future__ import annotations
@@ -150,8 +161,8 @@ class QcpTrace:
 
 @dataclass(frozen=True)
 class ScaledSeries:
-    """Diffusion-scaled series on the doubled event grid (left limits and
-    post-event values at every event instant)."""
+    """Diffusion-scaled series on the 2E - 1 row grid of left limits and
+    post-event values (see the module docstring)."""
 
     times: np.ndarray
     x_hat: np.ndarray
@@ -402,57 +413,63 @@ def run_qcp(
 ) -> QcpTrace:
     """Simulate one replication and record the full event trace."""
     horizon = _run_horizon(inst, n, horizon)
+    _check_instance(inst, analysis, "inst")
     # Rows come as one flat float64 buffer, (t, x, arrivals, departures,
     # busy, alloc) per event, freed once split; counts are exact in float64.
     ni, nj = inst.num_classes, inst.num_activities
     rows, cost, h_horizon = _simulate(inst, analysis, n, policy, horizon, seed, rep, record=True)
-    data = np.frombuffer(rows)
-    cols = np.split(data.reshape(-1, 1 + 2 * ni + 3 * nj), np.cumsum([1, ni, ni, nj, nj]), axis=1)
-    t, x, a, d, busy, alloc = (np.ascontiguousarray(c) for c in cols)
+    data = np.frombuffer(rows).reshape(-1, 1 + 2 * ni + 3 * nj)
+    t, x, a, d, busy, alloc = np.split(data, np.cumsum([1, ni, ni, nj, nj]), axis=1)
     counts = (c.astype(np.int64) for c in (x, a, d))
+    busy, alloc = np.ascontiguousarray(busy), np.ascontiguousarray(alloc)
     return QcpTrace(
         n, horizon, t.ravel(), *counts, busy, alloc, cost, h_horizon, inst, policy, seed, rep
     )
 
 
-def _doubled_grid(trace: QcpTrace):
-    """Interleave left limits: count-like rows repeat the previous row,
-    the busyness advances linearly at the recorded allocation."""
-    e = len(trace.times)
-    if e == 1:
-        return trace.times, trace.x, trace.arrivals, trace.departures, trace.busy
-    p = 2 * e - 1
-    times = np.empty(p)
-    times[0] = trace.times[0]
-    times[1::2] = trace.times[1:]
-    times[2::2] = trace.times[1:]
-    gaps = (trace.times[1:] - trace.times[:-1])[:, None]
-    busy_pre = trace.busy[:-1] + trace.alloc[:-1] * gaps
+def _on_grid(rows: np.ndarray, held: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-event rows (E, ...) on the 2E - 1 row grid, added into out when
+    given. Row 2k is event k and row 2k - 1 its left limit, where a series
+    of counts is held at event k - 1's row and a series of t and T takes
+    event k's own row."""
+    left = rows[:-1] if held else rows[1:]
+    if out is None:
+        out = np.empty((2 * len(rows) - 1,) + rows.shape[1:], rows.dtype)
+        out[0::2], out[1::2] = rows, left
+    else:
+        out[0::2] += rows
+        out[1::2] += left
+    return out
 
-    def interleave(post: np.ndarray, pre: np.ndarray) -> np.ndarray:
-        out = np.empty((p,) + post.shape[1:], dtype=post.dtype)
-        out[0] = post[0]
-        out[1::2] = pre
-        out[2::2] = post[1:]
-        return out
 
-    x = interleave(trace.x, trace.x[:-1])
-    arrivals = interleave(trace.arrivals, trace.arrivals[:-1])
-    departures = interleave(trace.departures, trace.departures[:-1])
-    busy = interleave(trace.busy, busy_pre)
-    return times, x, arrivals, departures, busy
+def _check_instance(inst: PssInstance, analysis: LpAnalysis, what: str) -> None:
+    if inst != analysis.instance:
+        raise ValueError(f"{what} is of another instance than the analysis")
 
 
 def _check_trace(trace: QcpTrace, n: int, analysis: LpAnalysis) -> None:
     """Refuse a trace of another n or of another instance than the analysis."""
     if n != trace.n:
         raise ValueError("n does not match the trace")
-    if trace.inst != analysis.instance:
-        raise ValueError("the trace is of another instance than the analysis")
+    _check_instance(trace.inst, analysis, "the trace")
+
+
+def _identity_coefficients(analysis: LpAnalysis):
+    """Exact per-activity coefficients of the workload identity: y*_i(j),
+    y*_i(j) mu_j and Lan's z*_k(j) - y*_i(j) mu_j (0 unless always
+    nonbasic), plus y*.lambda."""
+    inst, dual = analysis.instance, analysis.dual
+    y_of = [dual.y[a.class_index - 1] for a in inst.activities]
+    y_mu = list(map(mul, y_of, inst.mu))
+    an = [
+        dual.z[a.server_index - 1] - ym if c is ActivityClass.ALWAYS_NONBASIC else 0
+        for a, ym, c in zip(inst.activities, y_mu, analysis.classification)
+    ]
+    return y_of, y_mu, an, sum(map(mul, dual.y, inst.lam))
 
 
 def compute_scaled(trace: QcpTrace, n: int, analysis: LpAnalysis) -> ScaledSeries:
-    """Diffusion-scaled series on the doubled event grid.
+    """Diffusion-scaled series on the 2E - 1 row grid.
 
     Verifies the workload identity W = F + L + Lan; a residual beyond
     rounding (1e-6 of the series scale) aborts, since the identity is
@@ -465,40 +482,29 @@ def compute_scaled(trace: QcpTrace, n: int, analysis: LpAnalysis) -> ScaledSerie
             analysis.assumptions.failing_parts,
         )
     inst = analysis.instance
-    ni, nk, nj = inst.num_classes, inst.num_servers, inst.num_activities
-    times, x, arrivals, departures, busy = _doubled_grid(trace)
     rt = math.sqrt(n)
-    lam_f = np.array([float(v) for v in inst.lam])
-    mu_f = np.array([float(v) for v in inst.mu])
+    y_of, y_mu, an, y_lam = _identity_coefficients(analysis)
+    y_of, y_mu, an = (np.array([float(v) for v in c]) for c in (y_of, y_mu, an))
     y_f = np.array([float(v) for v in analysis.dual.y])
     z_f = np.array([float(v) for v in analysis.dual.z])
-    h_f = np.array(inst.h)
-
-    cls_mat = np.zeros((ni, nj))
-    srv_mat = np.zeros((nk, nj))
+    srv_mat = np.zeros((inst.num_servers, inst.num_activities))
     for j, act in enumerate(inst.activities):
-        cls_mat[act.class_index - 1, j] = 1.0
         srv_mat[act.server_index - 1, j] = 1.0
 
-    x_hat = x / rt
-    a_hat = (arrivals - n * lam_f[None, :] * times[:, None]) / rt
-    s_hat = (departures - n * mu_f[None, :] * busy) / rt
-    i_hat = rt * (times[:, None] - busy @ srv_mat.T)
-    w = x_hat @ y_f
-    f = (a_hat - s_hat @ cls_mat.T) @ y_f
-    l = i_hat @ z_f
-    an_coef = np.zeros(nj)
-    for j, act in enumerate(inst.activities):
-        if analysis.classification[j] is ActivityClass.ALWAYS_NONBASIC:
-            an_coef[j] = float(
-                analysis.dual.z[act.server_index - 1]
-                - analysis.dual.y[act.class_index - 1] * inst.mu[j]
-            )
-    l_an = rt * (busy @ an_coef)
-    h = x_hat @ h_f
+    t, busy = trace.times, trace.busy
+    times = _on_grid(t, held=False)
+    x_hat = _on_grid(trace.x / rt, held=True)
+    i_hat = _on_grid(rt * (t[:, None] - busy @ srv_mat.T), held=False)
+    l_an = _on_grid(rt * (busy @ an), held=False)
+    f = _on_grid((trace.arrivals @ y_f - trace.departures @ y_of) / rt, held=True)
+    _on_grid(rt * (busy @ y_mu - t * float(y_lam)), held=False, out=f)
+    w, h, l = x_hat @ y_f, x_hat @ np.array(inst.h), i_hat @ z_f
 
-    scale = max(1.0, float(np.max(np.abs(w))), float(np.max(np.abs(f))))
-    residual = float(np.max(np.abs(w - f - l - l_an)))
+    # Event rows and left limits are checked apart, so that no temporary
+    # spans the whole grid.
+    scale = float(max(1.0, w.max(), -w.min(), f.max(), -f.min()))
+    halves = (slice(0, None, 2), slice(1, None, 2))
+    residual = max(float(np.max(np.abs(w[r] - f[r] - l[r] - l_an[r]), initial=0.0)) for r in halves)
     if residual > 1e-6 * scale:
         raise SimulatorInvariantError(
             f"workload identity residual {residual:.3e} exceeds rounding at scale {scale:.3e}"
@@ -598,6 +604,7 @@ def estimate_qcp_cost(
         recorded = (rep0.inst, rep0.n, rep0.policy, rep0.horizon, rep0.seed, rep0.rep)
         if recorded != (inst, n, policy, horizon, seed, 0):
             raise ValueError("rep0 is not replication 0 of this run")
+    _check_instance(inst, analysis, "inst")
     results = [] if rep0 is None else [(rep0.cost, rep0.h_horizon)]
     tasks = [(inst, analysis, n, policy, horizon, seed, rep) for rep in range(len(results), n_reps)]
     return _summary(results + _map_reps(tasks), inst.gamma, horizon)
@@ -640,21 +647,16 @@ def verify_lower_bound(
         raise ValueError("n_list must name at least one n")
     if not policies:
         raise ValueError("policies must name at least one policy")
-    if not analysis.assumptions.all_pass:
-        raise AssumptionError(
-            "the lower bound is defined only under the structural assumptions",
-            analysis.assumptions.failing_parts,
-        )
+    # The assumptions, the instance, the solution, every n, the horizon
+    # and every policy are checked before the first replication.
+    v0 = compute_v0(inst, analysis, solution)
     if n_reps < 2:
         raise ValueError("n_reps must be at least 2")
-    # Every n, the horizon and every policy are checked before the first
-    # replication.
     for n in n_list:
         horizon = _run_horizon(inst, n, horizon)
         effective_rates(inst, n)
     for policy in policies:
         _Context(analysis, policy)
-    v0 = compute_v0(inst, analysis, solution)
     pairs = list(product(n_list, policies))
     results = _map_reps(
         [(inst, analysis, n, p, horizon, seed, rep) for n, p in pairs for rep in range(n_reps)]
@@ -675,42 +677,24 @@ def identity_residual_exact(trace: QcpTrace, n: int, analysis: LpAnalysis) -> Fr
 
     Requires n to be a perfect square so sqrt(n) is rational. Event data
     (floats) promote to rationals exactly, so the returned residual is
-    identically zero unless the simulator's bookkeeping is broken.
+    identically zero unless the simulator's bookkeeping is broken. Per
+    event row, W less F's count part is held and F's time part plus L and
+    Lan is own, on the grid of compute_scaled.
     """
     _check_trace(trace, n, analysis)
     rt = math.isqrt(n)
     if rt * rt != n:
         raise ValueError("exact shadow check needs a square n")
-    inst = analysis.instance
-    y = analysis.dual.y
-    z = analysis.dual.z
-    times, x, arrivals, departures, busy = _doubled_grid(trace)
-    an = [
-        c is ActivityClass.ALWAYS_NONBASIC for c in analysis.classification
-    ]
-    worst = Fraction(0)
-    for p in range(len(times)):
-        t = Fraction(float(times[p]))
-        busy_p = [Fraction(float(v)) for v in busy[p]]
-        w = sum(y[i] * int(x[p][i]) for i in range(inst.num_classes)) / rt
-        f = Fraction(0)
-        for i in range(inst.num_classes):
-            acc = Fraction(int(arrivals[p][i])) - n * inst.lam[i] * t
-            for j in inst.class_activities[i]:
-                acc -= Fraction(int(departures[p][j])) - n * inst.mu[j] * busy_p[j]
-            f += y[i] * acc
-        f /= rt
-        l = Fraction(0)
-        for k in range(inst.num_servers):
-            idle = t - sum(busy_p[j] for j in inst.server_activities[k])
-            l += z[k] * idle
-        l *= rt
-        l_an = Fraction(0)
-        for j, act in enumerate(inst.activities):
-            if an[j]:
-                l_an += (z[act.server_index - 1] - y[act.class_index - 1] * inst.mu[j]) * busy_p[j]
-        l_an *= rt
-        res = abs(w - f - l - l_an)
-        if res > worst:
-            worst = res
-    return worst
+    inst, y, z = analysis.instance, analysis.dual.y, analysis.dual.z
+    y_of, y_mu, an, y_lam = _identity_coefficients(analysis)
+    held, own = [], []
+    columns = (trace.times, trace.x, trace.arrivals, trace.departures, trace.busy)
+    for t, x, arr, dep, busy in zip(*(c.tolist() for c in columns)):
+        t, busy = Fraction(t), [Fraction(v) for v in busy]
+        held.append((sum(map(mul, y, x)) - sum(map(mul, y, arr)) + sum(map(mul, y_of, dep))) / rt)
+        idle = [t - sum(busy[j] for j in acts) for acts in inst.server_activities]
+        f_time = sum(map(mul, y_mu, busy)) - y_lam * t
+        own.append(rt * (f_time + sum(map(mul, z, idle)) + sum(map(mul, an, busy))))
+    grid = _on_grid(np.array(held, object), held=True)
+    _on_grid(-np.array(own, object), held=False, out=grid)
+    return Fraction(max(map(abs, grid)))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
@@ -449,6 +450,82 @@ def test_trace_must_match_analysis(get_instance, get_analysis, check):
         check(trace, 25, get_analysis("example_a1"))
     with pytest.raises(ValueError, match="n does not match"):
         check(trace, 16, an)
+
+
+def test_mixed_inputs_refused_before_any_replication(get_instance, get_analysis, monkeypatch):
+    # example_a1 and example_a2 are both 2x2 with 4 activities, so a run of
+    # one against the other's analysis would go through unnoticed.
+    a1, an1 = get_instance("example_a1"), get_analysis("example_a1")
+    a2, an2 = get_instance("example_a2"), get_analysis("example_a2")
+    simulated = []
+    monkeypatch.setattr(qcp, "_rep_cost", simulated.append)
+    pol = PolicySpec.static_mode(0)
+    config = ps.HjbConfig(grid_n=100)
+    sol = ps.solve_hjb(an2.coefficients, a2.gamma, config)
+    bound = dict(n_list=(25,), policies=(pol,), n_reps=4, horizon=0.5)
+    with pytest.raises(ValueError, match="another instance"):
+        run_qcp(a1, an2, 25, pol, horizon=0.5)
+    with pytest.raises(ValueError, match="another instance"):
+        estimate_qcp_cost(a1, an2, 25, pol, 4, horizon=0.5)
+    with pytest.raises(ValueError, match="another instance"):
+        verify_lower_bound(a1, an2, sol, **bound)
+    with pytest.raises(ValueError, match="another instance"):
+        ps.compute_v0(a1, an2, sol)
+    others = [
+        ps.solve_hjb(an1.coefficients, a2.gamma, config),
+        ps.solve_hjb(an2.coefficients, 2.0 * a2.gamma, config),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="other coefficients or another gamma"):
+            verify_lower_bound(a2, an2, other, **bound)
+        with pytest.raises(ValueError, match="other coefficients or another gamma"):
+            ps.compute_v0(a2, an2, other)
+    assert simulated == []
+
+
+def _switching_trace(get_instance, get_analysis):
+    inst, an = get_instance("example_a2"), get_analysis("example_a2")
+    policy = PolicySpec.workload_threshold(ModePolicy(thresholds=(0.36,), modes=(0, 1)))
+    return run_qcp(inst, an, n=64, policy=policy, horizon=3.0, seed=2), an
+
+
+def test_left_limits_hold_counts_and_take_own_time(get_instance, get_analysis):
+    trace, an = _switching_trace(get_instance, get_analysis)
+    series = compute_scaled(trace, 64, an)
+    # The selector switches both ways along this trace.
+    above = series.w > 0.36
+    assert np.any(~above[:-1] & above[1:]) and np.any(above[:-1] & ~above[1:])
+    left, previous, own = slice(1, None, 2), slice(0, -1, 2), slice(2, None, 2)
+    assert np.array_equal(series.x_hat[previous], trace.x[:-1] / 8.0)
+    assert np.array_equal(series.times[own], trace.times[1:])
+    for name in ("x_hat", "w", "h"):
+        values = getattr(series, name)
+        assert np.array_equal(values[left], values[previous]), name
+    for name in ("times", "i_hat", "l", "l_an"):
+        values = getattr(series, name)
+        assert np.array_equal(values[left], values[own]), name
+    assert identity_residual_exact(trace, 64, an) == F(0)
+
+
+def test_compute_scaled_peak_memory_near_its_output(get_instance, get_analysis):
+    # Each series is computed once per event row and then laid on the grid,
+    # so the traced peak stays near the bytes returned: 1.11 times them
+    # here, against 3.00 when every count and effort column was doubled.
+    trace, an = _switching_trace(get_instance, get_analysis)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        series = compute_scaled(trace, 64, an)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    fields = ("times", "x_hat", "i_hat", "w", "f", "l", "l_an", "h")
+    returned = sum(getattr(series, name).nbytes for name in fields)
+    assert peak <= 1.4 * returned
 
 
 @pytest.mark.parametrize(
