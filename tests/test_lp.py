@@ -7,9 +7,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import psslab as ps
-from psslab import lp
+from psslab import exactlp, lp
 from psslab.exactlp import LpStatus, solve_lp
-from conftest import _rat_json, enumerate_basic_feasible, random_decomposable_2x2
+from conftest import NAMES, _rat_json, enumerate_basic_feasible, load_named, random_decomposable_2x2
 
 
 def xi_of(analysis):
@@ -182,6 +182,37 @@ def test_select_q_prefers_smallest_ratio(get_analysis):
     assert ps.select_q((2.0, 0.5), an.dual) == 1
     # Exact tie goes to the smallest class index.
     assert ps.select_q((2.0, 1.0), an.dual) == 0
+
+
+# (pivots, exact LPs) that analyze makes on each shipped instance: the
+# primal LP everywhere, and on example_d the 13-LP scan of its dual face.
+EXACT_WORK = {
+    "example_a": (24, 1),
+    "example_a1": (24, 1),
+    "example_a2": (24, 1),
+    "example_b": (25, 1),
+    "example_c": (27, 1),
+    "example_d": (196, 14),
+    "example_e": (55, 1),
+    "mm1": (7, 1),
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_exact_work_pinned(monkeypatch, name):
+    counts = {"pivot": 0, "solve_lp": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(exactlp, "_pivot", counted("pivot", exactlp._pivot))
+    monkeypatch.setattr(lp, "solve_lp", counted("solve_lp", lp.solve_lp))
+    ps.analyze(load_named(name))
+    assert (counts["pivot"], counts["solve_lp"]) == EXACT_WORK[name]
 
 
 def test_modes_agree_with_direct_lp(get_instance, get_analysis):
