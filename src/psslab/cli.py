@@ -14,7 +14,8 @@ analyze, one figure per stage under "stages". Traces are CSV, long
 form ``t,series,name,value`` by default or one column per series with
 --wide.
 
-Exit status: 0 success; 10 unreadable/invalid instance or bad options;
+Exit status: 0 success; 2 usage error (argparse: a missing required or an
+unknown option); 10 unreadable/invalid instance or bad option values;
 21/22/23 structural assumption failure (criticality, full server load,
 dual uniqueness; 20 when the failing part is not identified); 30 solver
 or simulator failure; 40 lower-bound verdict FAIL.
@@ -120,8 +121,7 @@ _POLICIES["verify-bound"] = _POLICIES["sim-qcp"]
 def _check_options(args: argparse.Namespace) -> None:
     """Refuse option values a stage would reject, before any work."""
     cmd = args.command
-    if cmd in ("sim-wcp", "sim-qcp", "verify-bound"):
-        _need(args.seed >= 0, "--seed must be a nonnegative integer")
+    _need(args.seed >= 0, "--seed must be a nonnegative integer")
     if cmd in ("solve-hjb", "sim-wcp", "verify-bound"):
         _need(args.grid_n >= 3, "--grid-n must be at least 3")
         _need(args.z_max is None or _positive(args.z_max), "--z-max must be a positive number")
@@ -517,6 +517,20 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
     return EXIT_OK if report.verdict == "PASS" else EXIT_BOUND_FAIL
 
 
+def _option(sp: argparse.ArgumentParser, flag: str, convert: type, **kwargs) -> None:
+    """Add an int or float option whose malformed values raise CliError
+    naming it; argparse's own usage errors still exit 2."""
+    what = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise CliError(f"{flag} must be {what}, not {text!r}") from None
+
+    sp.add_argument(flag, type=parse, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psslab",
@@ -529,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--instance", required=True, help="instance JSON file")
         sp.add_argument("--out", default=None, help="directory for report and trace files")
-        sp.add_argument("--seed", type=int, default=0, help="64-bit stream seed (default 0)")
+        _option(sp, "--seed", int, default=0, help="64-bit stream seed (default 0)")
         sp.add_argument("--wide", action="store_true", help="wide CSV traces (one column per series)")
 
     sp = sub.add_parser("analyze", help="exact LP study and assumption checks")
@@ -538,28 +552,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve-hjb", help="solve the workload equation")
     common(sp)
-    sp.add_argument("--grid-n", type=int, default=4000)
-    sp.add_argument("--z-max", type=float, default=None)
+    _option(sp, "--grid-n", int, default=4000)
+    _option(sp, "--z-max", float, default=None)
     sp.set_defaults(func=cmd_solve_hjb)
 
     sp = sub.add_parser("sim-wcp", help="Monte Carlo cost of the reflected diffusion")
     common(sp)
     sp.add_argument("--policy", default="hjb", help="hjb or static:<mode>")
-    sp.add_argument("--step", type=float, default=1e-3)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--reps", type=int, default=10_000, help="number of paths")
-    sp.add_argument("--grid-n", type=int, default=4000)
-    sp.add_argument("--z-max", type=float, default=None)
+    _option(sp, "--step", float, default=1e-3)
+    _option(sp, "--horizon", float, default=None)
+    _option(sp, "--reps", int, default=10_000, help="number of paths")
+    _option(sp, "--grid-n", int, default=4000)
+    _option(sp, "--z-max", float, default=None)
     sp.set_defaults(func=cmd_sim_wcp)
 
     sp = sub.add_parser("sim-qcp", help="event-driven prelimit simulation")
     common(sp)
-    sp.add_argument("--n", type=int, required=True, help="scaling parameter")
+    _option(sp, "--n", int, required=True, help="scaling parameter")
     sp.add_argument(
         "--policy", default="threshold", help="static:<mode>[:wc], threshold[:wc], or priority"
     )
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--reps", type=int, default=16, help="replications for the cost estimate")
+    _option(sp, "--horizon", float, default=None)
+    _option(sp, "--reps", int, default=16, help="replications for the cost estimate")
     sp.set_defaults(func=cmd_sim_qcp)
 
     sp = sub.add_parser("verify-bound", help="compare simulated costs against the bound")
@@ -568,17 +582,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--policy", action="append", default=None, help="repeatable; default: every static mode plus threshold"
     )
-    sp.add_argument("--reps", type=int, default=64)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--grid-n", type=int, default=4000)
-    sp.add_argument("--z-max", type=float, default=None)
+    _option(sp, "--reps", int, default=64)
+    _option(sp, "--horizon", float, default=None)
+    _option(sp, "--grid-n", int, default=4000)
+    _option(sp, "--z-max", float, default=None)
     sp.set_defaults(func=cmd_verify_bound)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _check_options(args)
         return args.func(args)
     except CliError as exc:

@@ -1,8 +1,11 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase simplex on fractions.Fraction, Gauss-Jordan
-elimination, and vertex enumeration of a polytope by a pivot walk over
-its feasible bases. Bland's rule is used in the simplex so the method
+Every program is in standard form, over {x : a x = b, x >= 0}, and a
+caller states its own slack variables. On that form there are a dense
+two-phase simplex on fractions.Fraction, `solve_lp`, and the vertex
+enumeration of a bounded polytope by a pivot walk over its feasible
+bases, `enumerate_vertices`; Gauss-Jordan elimination, `eliminate`,
+serves linear systems. Bland's rule is used in the simplex so the method
 terminates under degeneracy. Intended for the small dense programs
 arising from allocation problems (tens of variables), where exactness
 matters more than speed: optimal values, optimal faces, degeneracy and
@@ -44,105 +47,48 @@ def _frac_matrix(rows: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
     return [[Fraction(v) for v in row] for row in rows]
 
 
-def _frac_vector(row: Sequence[Rational]) -> list[Fraction]:
-    return [Fraction(v) for v in row]
-
-
 def solve_lp(
-    c: Sequence[Rational],
-    a_eq: Sequence[Sequence[Rational]] = (),
-    b_eq: Sequence[Rational] = (),
-    a_ub: Sequence[Sequence[Rational]] = (),
-    b_ub: Sequence[Rational] = (),
-    nonneg: Sequence[bool] | None = None,
+    c: Sequence[Rational], a: Sequence[Sequence[Rational]], b: Sequence[Rational]
 ) -> LpResult:
-    """Minimize c.x subject to a_eq x = b_eq, a_ub x <= b_ub.
+    """Minimize c.x subject to a x = b, x >= 0.
 
-    Variables with nonneg[j] True (the default) are constrained to x_j >= 0,
-    the rest are free. Returns exact optimum and one optimal point.
+    Returns the exact optimum and one optimal point, a vertex.
     """
-    c = _frac_vector(c)
-    a_eq = _frac_matrix(a_eq)
-    b_eq = _frac_vector(b_eq)
-    a_ub = _frac_matrix(a_ub)
-    b_ub = _frac_vector(b_ub)
     n = len(c)
-    signs = [True] * n if nonneg is None else list(nonneg)
-    if len(signs) != n:
-        raise ValueError("nonneg length must match c")
-    if len(b_eq) != len(a_eq):
-        raise ValueError("b_eq length must match the rows of a_eq")
-    if len(b_ub) != len(a_ub):
-        raise ValueError("b_ub length must match the rows of a_ub")
-    for row in a_eq:
-        if len(row) != n:
-            raise ValueError("a_eq row length must match c")
-    for row in a_ub:
-        if len(row) != n:
-            raise ValueError("a_ub row length must match c")
-
-    # Standard form: split free variables, add slacks for inequality rows.
-    col_of: list[tuple[int, int | None]] = []
-    std_c: list[Fraction] = []
-    for j in range(n):
-        pos = len(std_c)
-        std_c.append(c[j])
-        neg = None
-        if not signs[j]:
-            neg = len(std_c)
-            std_c.append(-c[j])
-        col_of.append((pos, neg))
-
-    def expand(row: list[Fraction]) -> list[Fraction]:
-        out = [ZERO] * len(std_c)
-        for j, v in enumerate(row):
-            pos, neg = col_of[j]
-            out[pos] = v
-            if neg is not None:
-                out[neg] = -v
-        return out
-
-    n_var, n_slack = len(std_c), len(a_ub)
-    rows = [expand(row) + [ZERO] * n_slack + [b] for row, b in zip(a_eq, b_eq)]
-    for p, (row, b) in enumerate(zip(a_ub, b_ub)):
-        r = expand(row) + [ZERO] * n_slack + [b]
-        r[n_var + p] = ONE
-        rows.append(r)
-    n_std = n_var + n_slack
-
-    start = _phase_one(rows, n_std)
+    start = _phase_one(a, b, n)
     if start is None:
         return LpResult(LpStatus.INFEASIBLE, None, None)
     tab, basis = start
     # Phase 2: price out the basic columns of the cost row [c | 0].
-    cost = std_c + [ZERO] * (n_slack + 1)
+    cost = [Fraction(v) for v in c] + [ZERO]
     for row, j in zip(tab, basis):
         cb = cost[j]
         if cb != 0:
             cost = [v - cb * w for v, w in zip(cost, row)]
     tab.append(cost)
-    if not _pivot_loop(tab, basis, limit=n_std):
+    if not _pivot_loop(tab, basis, limit=n):
         return LpResult(LpStatus.UNBOUNDED, None, None)
-    x_std = [ZERO] * n_std
+    x = [ZERO] * n
     for row, j in zip(tab, basis):
-        x_std[j] = row[-1]
-    x = []
-    for pos, neg in col_of:
-        v = x_std[pos]
-        if neg is not None:
-            v = v - x_std[neg]
-        x.append(v)
+        x[j] = row[-1]
     return LpResult(LpStatus.OPTIMAL, -tab[-1][-1], tuple(x))
 
 
 def _phase_one(
-    ab: list[list[Fraction]], n: int
+    a: Sequence[Sequence[Rational]], b: Sequence[Rational], n: int
 ) -> tuple[list[list[Fraction]], list[int]] | None:
-    """A feasible basis of a x = b, x >= 0 over n columns, given the rows
-    [a | b], as (tableau, basis) with redundant rows dropped; None when
-    infeasible."""
-    m = len(ab)
-    rows = [[-v for v in row] if row[-1] < 0 else row for row in ab]
+    """A feasible basis of a x = b, x >= 0 over n columns, as the tableau
+    [a | b] reduced to it and the basis, with redundant rows dropped;
+    None when infeasible."""
+    if len(a) != len(b):
+        raise ValueError("b length must match the rows of a")
+    if any(len(row) != n for row in a):
+        raise ValueError("every row of a must have one entry per variable")
+    rows = [
+        [-v for v in row] if row[-1] < 0 else row
+        for row in _frac_matrix([[*row, bv] for row, bv in zip(a, b)])
+    ]
+    m = len(rows)
     # Artificial identity basis, minimize the artificial sum: the cost row
     # is minus the column sums, and zero on the artificials.
     sums = [-sum(col, ZERO) for col in zip(*rows)] if rows else [ZERO] * (n + 1)
@@ -262,10 +208,8 @@ def enumerate_vertices(
     whose bases and pivots all survive as feasible bases and pivots of the
     unperturbed system (Avis and Fukuda, Discrete Comput. Geom. 8, 1992).
     """
-    if len(a) != len(b):
-        raise ValueError("b length must match the rows of a")
     n = len(a[0]) if a else 0
-    start = _phase_one(_frac_matrix([[*row, bv] for row, bv in zip(a, b)]), n)
+    start = _phase_one(a, b, n)
     if start is None:
         return []
     seen = {frozenset(start[1])}

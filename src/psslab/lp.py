@@ -159,34 +159,43 @@ class LpAnalysis:
 
 
 def solve_primal(inst: PssInstance) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact optimum (rho*, xi*) of the allocation LP."""
+    """Exact optimum (rho*, xi*) of the allocation LP, solved over
+    (xi, rho, s) >= 0 with a slack s_k per server:
+    [R 0 0; G -1 I] (xi, rho, s) = (lambda, 0)."""
     mats = build_matrices(inst)
-    nj = inst.num_activities
-    c = [ZERO] * nj + [ONE]
-    a_eq = [list(row) + [ZERO] for row in mats.r]
-    b_eq = list(inst.lam)
-    a_ub = [list(row) + [-ONE] for row in mats.g]
-    b_ub = [ZERO] * inst.num_servers
-    res = solve_lp(c, a_eq, b_eq, a_ub, b_ub)
+    nj, nk = inst.num_activities, inst.num_servers
+    a = [list(row) + [ZERO] * (1 + nk) for row in mats.r]
+    a += [list(row) + [-ONE] + _unit(k, nk) for k, row in enumerate(mats.g)]
+    c = [ZERO] * nj + [ONE] + [ZERO] * nk
+    res = solve_lp(c, a, list(inst.lam) + [ZERO] * nk)
     if res.status is not LpStatus.OPTIMAL:
         raise AnalysisError(f"allocation LP is {res.status.value}; instance invariants violated")
     return res.value, res.x[:nj]
 
 
-def _dual_constraints(inst: PssInstance) -> tuple[list, list, list, list]:
-    """Constraint blocks of the dual over variables (y_1..y_I, z_1..z_K)."""
-    ni, nk = inst.num_classes, inst.num_servers
-    n = ni + nk
-    a_eq = [[ZERO] * ni + [ONE] * nk]
-    b_eq = [ONE]
-    a_ub = []
+def _unit(k: int, n: int) -> list[Fraction]:
+    """The k-th unit row of length n."""
+    return [ONE if s == k else ZERO for s in range(n)]
+
+
+def _dual_constraints(inst: PssInstance) -> tuple[list, list]:
+    """The dual's constraints in standard form over (y, z, s) >= 0, with a
+    slack s_j per activity: sum_k z_k = 1, and y_i mu_j - z_k + s_j = 0
+    for every activity j = (i, k).
+
+    The dual leaves y free, but every dual optimum has y >= 0: raising a
+    negative y_i to 0 keeps y_i mu_j <= z_k, as z >= 0, and raises
+    y.lambda, as lambda_i > 0. So y >= 0 changes neither the dual optimum
+    nor the dual optimal face.
+    """
+    ni, nk, nj = inst.num_classes, inst.num_servers, inst.num_activities
+    a = [[ZERO] * ni + [ONE] * nk + [ZERO] * nj]
     for j, act in enumerate(inst.activities):
-        row = [ZERO] * n
+        row = [ZERO] * (ni + nk) + _unit(j, nj)
         row[act.class_index - 1] = inst.mu[j]
         row[ni + act.server_index - 1] = -ONE
-        a_ub.append(row)
-    b_ub = [ZERO] * inst.num_activities
-    return a_eq, b_eq, a_ub, b_ub
+        a.append(row)
+    return a, [ONE] + [ZERO] * nj
 
 
 def solve_dual(inst: PssInstance, rho_star: Fraction, modes: tuple[Mode, ...]) -> DualFace:
@@ -245,36 +254,30 @@ def _scan_dual_face(inst: PssInstance, rho_star: Fraction) -> DualFace:
 
     Each of y_1..y_I, z_1..z_K is minimized and maximized over the face
     {dual feasible, y.lambda = rho*}, after one LP that confirms the dual
-    optimum: 2(I+K)+1 small exact LPs in total.
+    optimum: 2(I+K)+1 small exact LPs in total, all over the standard form
+    of `_dual_constraints`.
     """
-    ni, nk = inst.num_classes, inst.num_servers
+    ni, nk, nj = inst.num_classes, inst.num_servers, inst.num_activities
     n = ni + nk
-    nonneg = [False] * ni + [True] * nk
-    a_eq, b_eq, a_ub, b_ub = _dual_constraints(inst)
-
-    obj = [-v for v in inst.lam] + [ZERO] * nk
-    base = solve_lp(obj, a_eq, b_eq, a_ub, b_ub, nonneg)
+    a, b = _dual_constraints(inst)
+    value = list(inst.lam) + [ZERO] * (nk + nj)  # y.lambda as a row over (y, z, s)
+    base = solve_lp([-v for v in value], a, b)
     if base.status is not LpStatus.OPTIMAL or -base.value != rho_star:
         raise AnalysisError("dual optimum does not match the primal optimum")
 
-    face_eq = a_eq + [list(inst.lam) + [ZERO] * nk]
-    face_b = b_eq + [rho_star]
+    face_a, face_b = a + [value], b + [rho_star]
     ranges: list[tuple[Fraction, Fraction]] = []
     witnesses: tuple[DualSolution, DualSolution] | None = None
     for coord in range(n):
-        c_min = [ZERO] * n
-        c_min[coord] = ONE
-        lo = solve_lp(c_min, face_eq, face_b, a_ub, b_ub, nonneg)
-        c_max = [ZERO] * n
-        c_max[coord] = -ONE
-        hi = solve_lp(c_max, face_eq, face_b, a_ub, b_ub, nonneg)
+        lo = solve_lp(_unit(coord, n + nj), face_a, face_b)
+        hi = solve_lp([-v for v in _unit(coord, n + nj)], face_a, face_b)
         if lo.status is not LpStatus.OPTIMAL or hi.status is not LpStatus.OPTIMAL:
             raise AnalysisError("dual face scan failed; face should be a bounded polytope")
         ranges.append((lo.value, -hi.value))
         if witnesses is None and lo.value != -hi.value:
             witnesses = (
-                DualSolution(y=lo.x[:ni], z=lo.x[ni:]),
-                DualSolution(y=hi.x[:ni], z=hi.x[ni:]),
+                DualSolution(y=lo.x[:ni], z=lo.x[ni:n]),
+                DualSolution(y=hi.x[:ni], z=hi.x[ni:n]),
             )
     unique = witnesses is None
     point = None
@@ -311,7 +314,7 @@ def enumerate_modes(inst: PssInstance, rho_star: Fraction) -> tuple[Mode, ...]:
     mats = build_matrices(inst)
     ni, nk, nj = inst.num_classes, inst.num_servers, inst.num_activities
     a = [list(row) + [ZERO] * nk for row in mats.r]
-    a += [list(row) + [ONE if s == k else ZERO for s in range(nk)] for k, row in enumerate(mats.g)]
+    a += [list(row) + _unit(k, nk) for k, row in enumerate(mats.g)]
     b = list(inst.lam) + [rho_star] * nk
     modes = []
     for x in enumerate_vertices(a, b):

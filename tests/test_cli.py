@@ -356,6 +356,14 @@ def test_reports_written_under_out(capsys, tmp_path):
         (["verify-bound", "--seed", "-1"], None),
         # A superscript two is a digit to str.isdigit, but not to int().
         (["verify-bound", "--reps", "2"], "²"),
+        # Malformed numbers are refused by the option types, not by argparse.
+        (["solve-hjb", "--grid-n", "abc"], None),
+        (["sim-wcp", "--step", "abc"], None),
+        (["sim-qcp", "--n", "2.5"], None),
+        (["verify-bound", "--reps", "x"], None),
+        (["sim-wcp", "--seed", "1e3"], None),
+        (["analyze", "--seed", "-5"], None),
+        (["solve-hjb", "--seed", "-5"], None),
     ],
 )
 def test_bad_options_exit_10(capsys, monkeypatch, argv, env):
@@ -366,6 +374,20 @@ def test_bad_options_exit_10(capsys, monkeypatch, argv, env):
     code, out, err = run(capsys, *argv[:1], "--instance", path_of("mm1"), *argv[1:])
     assert code == 10
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sim-qcp", "--n", "2.5"], "--n must be an integer, not '2.5'"),
+        (["sim-wcp", "--step", "abc"], "--step must be a number, not 'abc'"),
+        (["analyze", "--seed", "-5"], "--seed must be a nonnegative integer"),
+    ],
+    ids=["n", "step", "seed"],
+)
+def test_bad_option_values_named(capsys, argv, message):
+    code, out, err = run(capsys, *argv[:1], "--instance", path_of("mm1"), *argv[1:])
+    assert (code, out, err) == (10, "", f"error: {message}\n")
 
 
 def test_n_list_checked_before_any_work(capsys, monkeypatch):

@@ -16,55 +16,46 @@ Z, O = F(0), F(1)
 
 
 def test_equality_pin():
-    res = solve_lp([O], [[O]], [F(2)], [], [])
+    res = solve_lp([O], [[O]], [F(2)])
     assert res.status is LpStatus.OPTIMAL
     assert res.x == (F(2),)
 
 
 def test_inequality_binding():
-    # min x+y subject to x+y >= 1
-    res = solve_lp([O, O], [], [], [[-O, -O]], [-O])
+    # min x+y subject to x+y >= 1, stated as -x-y+s = -1 with a slack s.
+    res = solve_lp([O, O, Z], [[-O, -O, O]], [-O])
     assert res.status is LpStatus.OPTIMAL
     assert res.x[0] + res.x[1] >= 1
 
 
-def test_free_variable():
-    res = solve_lp([-O], [], [], [[O]], [F(3)], nonneg=[False])
-    assert res.status is LpStatus.OPTIMAL
-    assert res.value == F(-3)
-    res = solve_lp([O], [], [], [[-O]], [F(3)], nonneg=[False])
-    assert res.status is LpStatus.OPTIMAL
-    assert res.value == F(-3)
-
-
 def test_unbounded():
-    assert solve_lp([-O]).status is LpStatus.UNBOUNDED
+    assert solve_lp([-O], [], []).status is LpStatus.UNBOUNDED
 
 
 def test_infeasible():
-    res = solve_lp([O], [[O]], [-O], [], [])
+    res = solve_lp([O], [[O]], [-O])
     assert res.status is LpStatus.INFEASIBLE
-    res = solve_lp([Z, Z], [[O, O], [O, O]], [O, F(2)], [], [])
+    res = solve_lp([Z, Z], [[O, O], [O, O]], [O, F(2)])
     assert res.status is LpStatus.INFEASIBLE
 
 
 def test_redundant_equalities():
     # Same row twice must not be reported infeasible.
-    res = solve_lp([O, O], [[O, O], [O, O]], [F(2), F(2)], [], [])
+    res = solve_lp([O, O], [[O, O], [O, O]], [F(2), F(2)])
     assert res.status is LpStatus.OPTIMAL
     assert res.x[0] + res.x[1] == 2
 
 
 def test_degenerate_cycling_guard():
-    # Classic degenerate program; Bland's rule must terminate.
-    c = [F(-3, 4), F(150), F(-1, 50), F(6)]
-    a_ub = [
-        [F(1, 4), F(-60), F(-1, 25), F(9)],
-        [F(1, 2), F(-90), F(-1, 50), F(3)],
-        [Z, Z, O, Z],
+    # Classic degenerate program; Bland's rule must terminate. Its three
+    # inequality rows carry the slacks of the last three columns.
+    c = [F(-3, 4), F(150), F(-1, 50), F(6), Z, Z, Z]
+    a = [
+        [F(1, 4), F(-60), F(-1, 25), F(9), O, Z, Z],
+        [F(1, 2), F(-90), F(-1, 50), F(3), Z, O, Z],
+        [Z, Z, O, Z, Z, Z, O],
     ]
-    b_ub = [Z, Z, O]
-    res = solve_lp(c, [], [], a_ub, b_ub)
+    res = solve_lp(c, a, [Z, Z, O])
     assert res.status is LpStatus.OPTIMAL
     assert res.value == F(-1, 20)
 
@@ -77,7 +68,9 @@ def test_matches_float_solver_on_random_programs():
         x0 = [F(int(rng.integers(0, 4))) for _ in range(n)]
         b = [sum(row[j] * x0[j] for j in range(n)) for row in a]
         c = [F(int(rng.integers(-5, 6))) for _ in range(n)]
-        res = solve_lp(c, [], [], a, b)
+        # a x <= b, with a slack per row in the last m columns.
+        slacks = [[O if s == r else Z for s in range(m)] for r in range(m)]
+        res = solve_lp(c + [Z] * m, [row + unit for row, unit in zip(a, slacks)], b)
         # x0 is feasible by construction, so no infeasibilities.
         assert res.status in (LpStatus.OPTIMAL, LpStatus.UNBOUNDED)
         if res.status is LpStatus.OPTIMAL:
@@ -143,12 +136,13 @@ def test_enumerate_vertices_drops_redundant_rows():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: solve_lp([-O], a_ub=[[O]], b_ub=[]),
-        lambda: solve_lp([-O], a_ub=[[O]], b_ub=[O, F(5)]),
-        lambda: solve_lp([O, O], a_eq=[[O, Z], [Z, O]], b_eq=[F(2)]),
+        lambda: solve_lp([-O], [[O]], []),
+        lambda: solve_lp([-O], [[O]], [O, F(5)]),
+        lambda: solve_lp([O, O], [[O, Z], [Z, O]], [F(2)]),
         lambda: solve_square([[O, Z], [Z, O]], [O]),
         lambda: enumerate_vertices([[O, O]], [O, F(3)]),
         lambda: enumerate_vertices([[O, O], [O, -O]], [O]),
+        lambda: solve_lp([O, O], [[O]], [O]),
     ],
 )
 def test_right_hand_side_length_checked(call):

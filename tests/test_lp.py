@@ -224,10 +224,14 @@ def test_modes_agree_with_direct_lp(get_instance, get_analysis):
         an = get_analysis(name)
         mats = ps.build_matrices(inst)
         nj = inst.num_activities
-        ones = [F(1)] * inst.num_servers
+        nk = inst.num_servers
+        # R xi = lambda, G xi + s = 1 over (xi, s) >= 0.
+        a = [list(row) + [F(0)] * nk for row in mats.r]
+        a += [list(row) + [F(int(s == k)) for s in range(nk)] for k, row in enumerate(mats.g)]
+        b = list(inst.lam) + [F(1)] * nk
         for _ in range(10):
             c = [F(int(rng.integers(-5, 6))) for _ in range(nj)]
-            res = solve_lp(c, mats.r, list(inst.lam), mats.g, ones)
+            res = solve_lp(c + [F(0)] * nk, a, b)
             assert res.status is LpStatus.OPTIMAL
             best = min(sum(ci * vi for ci, vi in zip(c, m.xi)) for m in an.modes)
             assert res.value == best
@@ -334,11 +338,19 @@ def test_pivot_walk_and_slackness_dual_match_exhaustive_routes(inst):
     assert face.point == scan.point
     assert face.witnesses == scan.witnesses
 
-    # Strong duality, with the dual solved directly.
+    # Strong duality, with the dual solved directly and y free: y = y+ - y-
+    # over the columns (y+, y-, z, s) >= 0, a slack s_j per activity.
     ni = inst.num_classes
-    a_eq, b_eq, a_ub, b_ub = lp._dual_constraints(inst)
-    objective = [-v for v in inst.lam] + [F(0)] * nk
-    res = solve_lp(objective, a_eq, b_eq, a_ub, b_ub, [False] * ni + [True] * nk)
+    a = [[F(0)] * (2 * ni) + [F(1)] * nk + [F(0)] * nj]
+    for j, act in enumerate(inst.activities):
+        row = [F(0)] * (2 * ni + nk) + [F(int(s == j)) for s in range(nj)]
+        row[act.class_index - 1] = inst.mu[j]
+        row[ni + act.class_index - 1] = -inst.mu[j]
+        row[2 * ni + act.server_index - 1] = F(-1)
+        a.append(row)
+    objective = [-v for v in inst.lam] + list(inst.lam) + [F(0)] * (nk + nj)
+    res = solve_lp(objective, a, [F(1)] + [F(0)] * nj)
     assert res.status is LpStatus.OPTIMAL and -res.value == rho
     for dual in (face.point,) if face.unique else face.witnesses:
         assert sum(y * v for y, v in zip(dual.y, inst.lam)) == rho
+        assert all(y >= 0 for y in dual.y)
