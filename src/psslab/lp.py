@@ -269,8 +269,9 @@ def _scan_dual_face(inst: PssInstance, rho_star: Fraction) -> DualFace:
     ranges: list[tuple[Fraction, Fraction]] = []
     witnesses: tuple[DualSolution, DualSolution] | None = None
     for coord in range(n):
-        lo = solve_lp(_unit(coord, n + nj), face_a, face_b)
-        hi = solve_lp([-v for v in _unit(coord, n + nj)], face_a, face_b)
+        c = _unit(coord, n + nj)
+        lo = solve_lp(c, face_a, face_b)
+        hi = solve_lp([-v for v in c], face_a, face_b)
         if lo.status is not LpStatus.OPTIMAL or hi.status is not LpStatus.OPTIMAL:
             raise AnalysisError("dual face scan failed; face should be a bounded polytope")
         ranges.append((lo.value, -hi.value))
