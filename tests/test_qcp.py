@@ -30,6 +30,7 @@ from psslab.qcp import (
     run_qcp,
     verify_lower_bound,
 )
+from psslab.wcp import default_horizon
 
 
 def test_effective_rates_scaling(get_instance):
@@ -717,5 +718,30 @@ def test_event_kernel_pinned(get_instance, get_analysis, name, label, seed):
     _, got_cost, got_h_t = _simulate(inst, an, n, policy, horizon, seed, 1, record=False)
     assert (got_cost, got_h_t) == (cost, h_t)
     trace = run_qcp(inst, an, n, policy, horizon=horizon, seed=seed, rep=1)
+    assert _digest(trace, ("x", "arrivals", "departures")) == counts
+    assert _digest(trace, ("times", "busy", "alloc")) == floats
+
+
+# The benchmark's trace: example_a2 at n = 400 under the HJB threshold
+# policy, seed 1, replication 0 and the default horizon, with 86,119 event
+# rows. KERNEL_PINS stop at n = 100 and horizon 8; this pins a long run in
+# the same four figures.
+BENCHMARK_TRACE_PIN = (6.302875928460204, 15.75,
+    "88c3476aed53dc4ac7ec0730ab4be29d98787d80c4dd04f20654effbdb0468c7",
+    "af06810c5a6208aba83aaa9e7f63bc7499c33eb6ef8d70a0bd1dd22698b55a74")
+
+
+def test_event_kernel_pinned_at_benchmark_size(get_instance, get_analysis):
+    inst, an = get_instance("example_a2"), get_analysis("example_a2")
+    policy = PolicySpec.workload_threshold(
+        ps.extract_policy(ps.solve_hjb(an.coefficients, inst.gamma))
+    )
+    cost, h_t, counts, floats = BENCHMARK_TRACE_PIN
+    horizon = default_horizon(inst.gamma)
+    _, got_cost, got_h_t = _simulate(inst, an, 400, policy, horizon, 1, 0, record=False)
+    assert (got_cost, got_h_t) == (cost, h_t)
+    trace = run_qcp(inst, an, 400, policy, seed=1, rep=0)
+    assert len(trace.times) == 86_119
+    assert (trace.cost, trace.h_horizon) == (cost, h_t)
     assert _digest(trace, ("x", "arrivals", "departures")) == counts
     assert _digest(trace, ("times", "busy", "alloc")) == floats
