@@ -149,6 +149,8 @@ def _check_options(args: argparse.Namespace) -> None:
         )
     if cmd == "sim-qcp":
         _need(args.n >= 1, "--n must be a positive integer")
+        # --reps 1 records the trace and makes no estimate.
+        _need(args.reps >= 1, "--reps must be at least 1")
     if cmd == "verify-bound":
         _need(args.reps >= 2, "--reps must be at least 2")
         _n_list(args.n_list)
@@ -573,7 +575,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--policy", default="threshold", help="static:<mode>[:wc], threshold[:wc], or priority"
     )
     _option(sp, "--horizon", float, default=None)
-    _option(sp, "--reps", int, default=16, help="replications for the cost estimate")
+    _option(
+        sp,
+        "--reps",
+        int,
+        default=16,
+        help="replications for the cost estimate; 1 records the trace alone",
+    )
     sp.set_defaults(func=cmd_sim_qcp)
 
     sp = sub.add_parser("verify-bound", help="compare simulated costs against the bound")

@@ -11,7 +11,16 @@ preemptive resume, so a frozen clock keeps its progress). Queue lengths
 are exact integer counts; between events all continuous quantities are
 linear, so traces record event instants only and every integral below is
 evaluated piecewise exactly. Work per event is constant and small (see
-_simulate).
+_simulate), and the allocation is looked up only when the backlog mask or
+the selector interval moves.
+
+A recorded run keeps an event log, not rows: each row's time and event,
+the effort b0 of each completing activity, and the state at each
+allocation change. run_qcp rebuilds the trace columns from it with numpy:
+counts as running sums over the events, the allocation filled forward
+from its changes, and busy as b0 + alloc (t - t0) from each activity's
+last re-base, the event loop's own arithmetic, so the columns are those
+the loop would have written row by row.
 
 Scaled (diffusion regime) series derived from a trace:
 
@@ -35,6 +44,10 @@ is computed once per event row and split by that rule: Xhat, W, H and
 F's count part sum_i y*_i (A_i - sum_{j in J_i} D_j) / sqrt(n) hold the
 previous row; t, Ihat, L, Lan and F's part sqrt(n) (sum_j y*_i(j) mu_j
 T_j - t y*.lambda) take their own.
+
+The weighted sums behind the series run over the short axis (activities,
+classes or servers) as elementwise numpy operations, so the layer makes no
+BLAS call and leaves no BLAS thread spinning.
 
 The trace inequality checks cover the workload-cost comparison, the
 reflection lower bound through the Skorokhod map, and state/idleness
@@ -296,16 +309,22 @@ def _simulate(
     rep: int,
     record: bool,
 ):
-    """Core event loop. Returns (flat event rows or None, discounted cost,
-    H at horizon).
+    """Core event loop. Returns (event log or None, discounted cost, H at
+    horizon).
 
     clock holds absolute event times: the horizon, the I next arrivals,
     then the J service completions (inf without effort), so the first
     earliest entry is the next event and the horizon wins ties. Activity
     j's cumulative effort is b0[j] + eff[j] (t - t0[j]); its completion
-    time changes only when it completes or its effort changes. hx = h.x
-    and wy = y.x are running sums (exact for integer-valued weights),
-    re-summed whenever the allocation changes.
+    time changes only when it completes or its effort changes. The
+    allocation is looked up only when the backlog mask or the selector
+    interval has moved. hx = h.x and wy = y.x are running sums (exact for
+    integer-valued weights), re-summed whenever the allocation changes.
+
+    A recorded run logs, per row, its time and the clock index of the
+    event that led to it (-1 for row 0), and the b0 of the activity that
+    completed; at each row where the allocation changes, the row index, the
+    allocation and every (b0, t0). _columns rebuilds the trace from these.
     """
     lam_n, mu_n = effective_rates(inst, n)
     ctx = _Context(analysis, policy)
@@ -321,8 +340,6 @@ def _simulate(
 
     t = 0.0
     x = [0] * ni
-    arr = [0] * ni
-    dep = [0] * nj
     thresh = [draw() for draw in svc_next]
     clock = [horizon] + [draw() for draw in arr_next] + [math.inf] * nj
     eff = [0.0] * nj
@@ -333,30 +350,41 @@ def _simulate(
     switching = bool(cuts)
     p, mask = bisect_right(cuts, 0.0), 0
     xi = None
+    moved = True
 
-    rows = array("d") if record else None
+    log = (array("d"), array("i"), array("d"), []) if record else None
+    if record:
+        log_t, log_e, log_b0, changes = log[0].append, log[1].append, log[2].append, log[3]
     cost = 0.0
     exp_prev = 1.0
     e = -1  # last event's clock index; 0 is the horizon
 
     while True:
-        alloc = tables[p].get(mask) or ctx.allocation(x, mask, p)
-        if alloc is not xi:
-            xi = alloc
-            hx, wy = sum(map(mul, h, x)), sum(map(mul, y, x))
-            for j in range(nj):
-                a = xi[j]
-                if a != eff[j]:
-                    b0[j] += eff[j] * (t - t0[j])
-                    t0[j] = t
-                    eff[j] = a
-                    # Rounding can leave b0 a hair past thresh.
-                    clock[1 + ni + j] = t + max(thresh[j] - b0[j], 0.0) / a if a > 0.0 else math.inf
+        if moved:
+            moved = False
+            alloc = tables[p].get(mask) or ctx.allocation(x, mask, p)
+            if alloc is not xi:
+                xi = alloc
+                hx, wy = sum(map(mul, h, x)), sum(map(mul, y, x))
+                for j in range(nj):
+                    a = xi[j]
+                    if a != eff[j]:
+                        b0[j] += eff[j] * (t - t0[j])
+                        t0[j] = t
+                        eff[j] = a
+                        # Rounding can leave b0 a hair past thresh.
+                        clock[1 + ni + j] = (
+                            t + max(thresh[j] - b0[j], 0.0) / a if a > 0.0 else math.inf
+                        )
+                if record:
+                    changes.append((len(log[0]), xi, tuple(b0), tuple(t0)))
         if record:
-            busy = [b + a * (t - s) for b, a, s in zip(b0, eff, t0)]
-            rows.extend((t, *x, *arr, *dep, *busy, *xi))
+            log_t(t)
+            log_e(e)
+            if e > ni:
+                log_b0(b0[e - 1 - ni])
         if not e:
-            return rows, cost * inv_sqrt_n / gamma, sum(map(mul, h, x)) * inv_sqrt_n
+            return log, cost * inv_sqrt_n / gamma, sum(map(mul, h, x)) * inv_sqrt_n
         e = clock.index(t_next := min(clock))
         exp_next = math.exp(-gamma * t_next)
         cost += hx * (exp_prev - exp_next)
@@ -368,7 +396,6 @@ def _simulate(
             t0[j] = t
             thresh[j] += svc_next[j]()
             clock[e] = t + (thresh[j] - b0[j]) / eff[j]
-            dep[j] += 1
             i = cls_of[j]
             x[i] -= 1
             hx -= h[i]
@@ -377,16 +404,20 @@ def _simulate(
                 if x[i] < 0:
                     raise SimulatorInvariantError("departure from an empty class")
                 mask ^= 1 << i
+                moved = True
         elif e:
             i = e - 1
-            arr[i] += 1
             x[i] += 1
             hx += h[i]
             wy += y[i]
-            mask |= 1 << i
+            if x[i] == 1:
+                mask |= 1 << i
+                moved = True
             clock[e] = t + arr_next[i]()
         if switching:
-            p = bisect_right(cuts, wy * inv_sqrt_n)
+            q = bisect_right(cuts, wy * inv_sqrt_n)
+            if q != p:
+                p, moved = q, True
 
 
 def _run_horizon(inst: PssInstance, n: int, horizon: float | None) -> float:
@@ -414,17 +445,67 @@ def run_qcp(
     """Simulate one replication and record the full event trace."""
     horizon = _run_horizon(inst, n, horizon)
     _check_instance(inst, analysis, "inst")
-    # Rows come as one flat float64 buffer, (t, x, arrivals, departures,
-    # busy, alloc) per event, freed once split; counts are exact in float64.
+    # The loop keeps an event log, not rows: each row's time and event, the
+    # b0 of each completion and the state at each allocation change.
+    # _columns rebuilds the columns from it, each into its own array.
+    log, cost, h_horizon = _simulate(inst, analysis, n, policy, horizon, seed, rep, record=True)
+    return QcpTrace(n, horizon, *_columns(log, inst), cost, h_horizon, inst, policy, seed, rep)
+
+
+def _columns(log, inst: PssInstance):
+    """The trace columns (times, x, arrivals, departures, busy, alloc) from
+    _simulate's event log, written into arrays allocated once.
+
+    Counts are running sums of the events over the rows, and the allocation
+    is filled forward from the rows where it changed. Activity j's effort
+    is re-based at its completions and at allocation changes, the latter
+    winning on a shared row; busy is b0 + alloc (t - t0) from the last
+    re-base at or before each row, the event loop's own arithmetic.
+    """
+    times, events, done_b0, changes = log
     ni, nj = inst.num_classes, inst.num_activities
-    rows, cost, h_horizon = _simulate(inst, analysis, n, policy, horizon, seed, rep, record=True)
-    data = np.frombuffer(rows).reshape(-1, 1 + 2 * ni + 3 * nj)
-    t, x, a, d, busy, alloc = np.split(data, np.cumsum([1, ni, ni, nj, nj]), axis=1)
-    counts = (c.astype(np.int64) for c in (x, a, d))
-    busy, alloc = np.ascontiguousarray(busy), np.ascontiguousarray(alloc)
-    return QcpTrace(
-        n, horizon, t.ravel(), *counts, busy, alloc, cost, h_horizon, inst, policy, seed, rep
-    )
+    t = np.frombuffer(times)
+    events = np.frombuffer(events, np.intc)
+    rows = len(t)
+    x, arrivals = np.empty((rows, ni), np.int64), np.empty((rows, ni), np.int64)
+    departures, busy = np.empty((rows, nj), np.int64), np.empty((rows, nj))
+    alloc = np.empty((rows, nj))
+    for i in range(ni):
+        np.cumsum(events == 1 + i, out=arrivals[:, i])
+    x[...] = arrivals
+    for j, act in enumerate(inst.activities):
+        np.cumsum(events == 1 + ni + j, out=departures[:, j])
+        x[:, act.class_index - 1] -= departures[:, j]
+
+    # index holds, per row, the position of the last allocation change in
+    # the log, then, for each activity, the row of its last re-base.
+    at, allocs, b0_at, t0_at = (np.array(c) for c in zip(*changes))
+    index = np.zeros(rows, np.intp)
+    index[at[1:]] = 1
+    np.cumsum(index, out=index)
+    np.take(allocs, index, axis=0, out=alloc)
+
+    completed = np.flatnonzero(events > ni)
+    done_b0 = np.frombuffer(done_b0)
+    b0, t0 = np.empty(rows), np.empty(rows)
+    for j in range(nj):
+        own = events[completed] == 1 + ni + j
+        done = completed[own]
+        b0[done], t0[done] = done_b0[own], t[done]
+        b0[at], t0[at] = b0_at[:, j], t0_at[:, j]
+        index.fill(0)
+        index[done] = done
+        index[at] = at
+        np.maximum.accumulate(index, out=index)
+        col = busy[:, j]
+        np.subtract(t, t0[index], out=col)
+        col *= alloc[:, j]
+        col += b0[index]
+    return t, x, arrivals, departures, busy, alloc
+
+
+# The event rows and the left limits of the 2E - 1 row grid.
+_HALVES = (slice(0, None, 2), slice(1, None, 2))
 
 
 def _on_grid(rows: np.ndarray, held: bool, out: np.ndarray | None = None) -> np.ndarray:
@@ -468,6 +549,17 @@ def _identity_coefficients(analysis: LpAnalysis):
     return y_of, y_mu, an, sum(map(mul, dual.y, inst.lam))
 
 
+def _weighted(columns: np.ndarray, weights) -> np.ndarray:
+    """columns @ weights over the short second axis, as a sum of scaled
+    columns in order: elementwise numpy, so that no BLAS call is made.
+    Zero weights add nothing and are skipped."""
+    out = np.zeros(len(columns))
+    for k, v in enumerate(weights):
+        if v:
+            out += columns[:, k] * float(v)
+    return out
+
+
 def compute_scaled(trace: QcpTrace, n: int, analysis: LpAnalysis) -> ScaledSeries:
     """Diffusion-scaled series on the 2E - 1 row grid.
 
@@ -484,27 +576,39 @@ def compute_scaled(trace: QcpTrace, n: int, analysis: LpAnalysis) -> ScaledSerie
     inst = analysis.instance
     rt = math.sqrt(n)
     y_of, y_mu, an, y_lam = _identity_coefficients(analysis)
-    y_of, y_mu, an = (np.array([float(v) for v in c]) for c in (y_of, y_mu, an))
-    y_f = np.array([float(v) for v in analysis.dual.y])
-    z_f = np.array([float(v) for v in analysis.dual.z])
-    srv_mat = np.zeros((inst.num_servers, inst.num_activities))
-    for j, act in enumerate(inst.activities):
-        srv_mat[act.server_index - 1, j] = 1.0
+    y, z = analysis.dual.y, analysis.dual.z
 
+    # Temporaries that span the event rows are dropped as soon as their
+    # series are on the grid, so the last steps allocate little beyond
+    # what is returned.
     t, busy = trace.times, trace.busy
     times = _on_grid(t, held=False)
-    x_hat = _on_grid(trace.x / rt, held=True)
-    i_hat = _on_grid(rt * (t[:, None] - busy @ srv_mat.T), held=False)
-    l_an = _on_grid(rt * (busy @ an), held=False)
-    f = _on_grid((trace.arrivals @ y_f - trace.departures @ y_of) / rt, held=True)
-    _on_grid(rt * (busy @ y_mu - t * float(y_lam)), held=False, out=f)
-    w, h, l = x_hat @ y_f, x_hat @ np.array(inst.h), i_hat @ z_f
+    x_rows = trace.x / rt
+    x_hat = _on_grid(x_rows, held=True)
+    w = _on_grid(_weighted(x_rows, y), held=True)
+    h = _on_grid(_weighted(x_rows, inst.h), held=True)
+    del x_rows
+    idle = np.empty((len(t), inst.num_servers))
+    for k in range(inst.num_servers):
+        on_k = [a.server_index == k + 1 for a in inst.activities]
+        np.multiply(t - _weighted(busy, on_k), rt, out=idle[:, k])
+    i_hat = _on_grid(idle, held=False)
+    l = _on_grid(_weighted(idle, z), held=False)
+    del idle
+    f = _weighted(trace.arrivals, y) - _weighted(trace.departures, y_of)
+    f = _on_grid(f / rt, held=True)
+    _on_grid(rt * (_weighted(busy, y_mu) - t * float(y_lam)), held=False, out=f)
+    l_an = _on_grid(rt * _weighted(busy, an), held=False)
 
-    # Event rows and left limits are checked apart, so that no temporary
-    # spans the whole grid.
+    # Event rows and left limits are checked apart, in one buffer of the
+    # event rows' length.
     scale = float(max(1.0, w.max(), -w.min(), f.max(), -f.min()))
-    halves = (slice(0, None, 2), slice(1, None, 2))
-    residual = max(float(np.max(np.abs(w[r] - f[r] - l[r] - l_an[r]), initial=0.0)) for r in halves)
+    residual, buffer = 0.0, np.empty(len(t))
+    for r in _HALVES:
+        gap = np.subtract(w[r], f[r], out=buffer[: len(w[r])])
+        gap -= l[r]
+        gap -= l_an[r]
+        residual = max(residual, float(np.max(np.abs(gap, out=gap), initial=0.0)))
     if residual > 1e-6 * scale:
         raise SimulatorInvariantError(
             f"workload identity residual {residual:.3e} exceeds rounding at scale {scale:.3e}"
@@ -525,22 +629,30 @@ def compute_scaled(trace: QcpTrace, n: int, analysis: LpAnalysis) -> ScaledSerie
 
 def check_trace_inequalities(series: ScaledSeries, analysis: LpAnalysis) -> TraceChecks:
     """Pathwise relations underlying the lower bound, as max violations
-    relative to the series scale (all should be at rounding level)."""
+    relative to the series scale (all should be at rounding level).
+
+    Each relation is checked over the event rows and the left limits apart,
+    or in place, so that the only temporaries spanning the whole grid are
+    the reflection's."""
     inst = analysis.instance
     q = analysis.q
     ratio = inst.h[q] / float(analysis.dual.y[q])
     s = series.scale
+    x_hat, w, h, i_hat = series.x_hat, series.w, series.h, series.i_hat
 
-    viol_h = float(np.max(ratio * series.w - series.h, initial=0.0))
-    off_axis = series.x_hat.sum(axis=1) - series.x_hat[:, q]
-    on_axis = off_axis == 0.0
-    eq_viol = 0.0
-    if np.any(on_axis):
-        eq_viol = float(np.max(np.abs(series.h[on_axis] - ratio * series.w[on_axis])))
-    phi, _ = skorokhod_map(series.f)
-    viol_reflect = float(np.max(phi - series.w, initial=0.0))
-    viol_state = max(0.0, -float(np.min(series.x_hat)))
-    viol_idle = max(0.0, -float(np.min(np.diff(series.i_hat, axis=0), initial=0.0)))
+    viol_h = eq_viol = 0.0
+    for r in _HALVES:
+        viol_h = max(viol_h, float(np.max(ratio * w[r] - h[r], initial=0.0)))
+        on_axis = x_hat[r].sum(axis=1) - x_hat[r, q] == 0.0
+        if np.any(on_axis):
+            eq_viol = max(eq_viol, float(np.max(np.abs(h[r][on_axis] - ratio * w[r][on_axis]))))
+    viol_state = max(0.0, -float(np.min(x_hat)))
+    # Steps into a left limit, then out of it.
+    steps = ((i_hat[1::2], i_hat[:-1:2]), (i_hat[2::2], i_hat[1::2]))
+    viol_idle = max(0.0, -min(float(np.min(b - a, initial=0.0)) for b, a in steps))
+    gap = skorokhod_map(series.f)[0]
+    gap -= w
+    viol_reflect = float(np.max(gap, initial=0.0))
     return TraceChecks(
         cost_vs_workload=viol_h / s,
         cost_equality_on_axis=eq_viol / s,

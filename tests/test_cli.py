@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -215,7 +217,7 @@ def test_sim_qcp_estimate_equals_estimate_qcp_cost(capsys):
 
 def test_sim_qcp_wide_csv(capsys, tmp_path):
     out_dir = tmp_path / "w"
-    code, _, _ = run(
+    code, out, _ = run(
         capsys,
         "sim-qcp",
         "--instance",
@@ -227,12 +229,14 @@ def test_sim_qcp_wide_csv(capsys, tmp_path):
         "--horizon",
         "1",
         "--reps",
-        "0",
+        "1",
         "--out",
         str(out_dir),
         "--wide",
     )
     assert code == 0
+    # One replication is the recorded trace alone, with no estimate.
+    assert doc_of(out)["estimate"] is None
     with open(out_dir / "qcp-scaled.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "w", "f", "l", "l_an", "h", "x_hat[1]", "i_hat[1]"]
@@ -364,6 +368,9 @@ def test_reports_written_under_out(capsys, tmp_path):
         (["sim-wcp", "--seed", "1e3"], None),
         (["analyze", "--seed", "-5"], None),
         (["solve-hjb", "--seed", "-5"], None),
+        # One replication records the trace alone; fewer is no run at all.
+        (["sim-qcp", "--n", "4", "--reps", "0"], None),
+        (["sim-qcp", "--n", "4", "--reps", "-3"], None),
     ],
 )
 def test_bad_options_exit_10(capsys, monkeypatch, argv, env):
@@ -513,3 +520,21 @@ def test_policy_labels_round_trip(get_instance, get_analysis):
     for spec in specs:
         parsed = _parse_policy(spec.label, an, lambda: solution)
         assert (parsed.selector, parsed.rules, parsed.label) == (spec.selector, spec.rules, spec.label)
+
+
+def test_cli_import_and_analyze_leave_heavy_modules_unloaded():
+    # Set-up time is the import and one analysis; the process pool, logging
+    # and scipy are imported only by the calls that need them.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import contextlib, io, sys\n"
+        "import psslab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert psslab.cli.main(['analyze', '--instance', {path_of('example_a2')!r}]) == 0\n"
+        "print(sorted(m for m in ('concurrent.futures', 'logging', 'scipy') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True
+    )
+    assert done.stdout == "[]\n"

@@ -510,7 +510,7 @@ def test_left_limits_hold_counts_and_take_own_time(get_instance, get_analysis):
 
 def test_compute_scaled_peak_memory_near_its_output(get_instance, get_analysis):
     # Each series is computed once per event row and then laid on the grid,
-    # so the traced peak stays near the bytes returned: 1.11 times them
+    # so the traced peak stays near the bytes returned: 1.06 times them
     # here, against 3.00 when every count and effort column was doubled.
     trace, an = _switching_trace(get_instance, get_analysis)
     tracing = tracemalloc.is_tracing()
@@ -527,6 +527,69 @@ def test_compute_scaled_peak_memory_near_its_output(get_instance, get_analysis):
     fields = ("times", "x_hat", "i_hat", "w", "f", "l", "l_an", "h")
     returned = sum(getattr(series, name).nbytes for name in fields)
     assert peak <= 1.4 * returned
+
+
+@pytest.mark.parametrize("name", ["example_a2", "example_e"])
+def test_scaled_series_match_the_matrix_products(get_instance, get_analysis, name):
+    # compute_scaled sums over activities and servers term by term, so no
+    # BLAS call is made; the matrix products give the same series to
+    # rounding, and the exact identity still holds. example_e has three
+    # servers and seven activities.
+    if name == "example_a2":
+        trace, an = _switching_trace(get_instance, get_analysis)
+    else:
+        an = get_analysis(name)
+        trace = run_qcp(get_instance(name), an, 64, PolicySpec.static_mode(1, True), 2.0, seed=3)
+    inst, rt = an.instance, 8.0
+    series = compute_scaled(trace, 64, an)
+    *per_activity, y_lam = qcp._identity_coefficients(an)
+    y_of, y_mu, lan = (np.array([float(v) for v in c]) for c in per_activity)
+    y, z = (np.array([float(v) for v in d]) for d in (an.dual.y, an.dual.z))
+    servers = np.zeros((inst.num_servers, inst.num_activities))
+    for j, act in enumerate(inst.activities):
+        servers[act.server_index - 1, j] = 1.0
+    t, busy = trace.times, trace.busy
+    x_hat = qcp._on_grid(trace.x / rt, held=True)
+    i_hat = qcp._on_grid(rt * (t[:, None] - busy @ servers.T), held=False)
+    f = qcp._on_grid((trace.arrivals @ y - trace.departures @ y_of) / rt, held=True)
+    qcp._on_grid(rt * (busy @ y_mu - t * float(y_lam)), held=False, out=f)
+    expected = {
+        "x_hat": x_hat,
+        "i_hat": i_hat,
+        "w": x_hat @ y,
+        "h": x_hat @ np.array(inst.h, float),
+        "l": i_hat @ z,
+        "l_an": qcp._on_grid(rt * (busy @ lan), held=False),
+        "f": f,
+    }
+    for field, values in expected.items():
+        got = getattr(series, field)
+        assert got.shape == values.shape, field
+        assert np.max(np.abs(got - values)) <= 1e-12 * series.scale, field
+    assert identity_residual_exact(trace, 64, an) == F(0)
+
+
+def test_check_trace_inequalities_peak_memory(get_instance, get_analysis):
+    # The checks run over the event rows and the left limits apart, or in
+    # place; the reflection holds two series on the whole grid, and the
+    # idleness step one plus about 100 KB of numpy iteration buffers (two
+    # series at this length). The traced peak measured 3.13 times one
+    # series here, against 5.17 with whole-grid temporaries for every check.
+    trace, an = _switching_trace(get_instance, get_analysis)
+    series = compute_scaled(trace, 64, an)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        checks = check_trace_inequalities(series, an)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert checks.max_relative_violation <= 1e-8
+    assert peak <= 3.5 * series.f.nbytes
 
 
 @pytest.mark.parametrize(
