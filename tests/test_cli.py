@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, report documents, trace files."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -538,3 +539,42 @@ def test_cli_import_and_analyze_leave_heavy_modules_unloaded():
         [sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True
     )
     assert done.stdout == "[]\n"
+
+
+# sha256 of sim-qcp's report without "timing", and of qcp-scaled.csv in
+# long and wide form: example_a2 under the HJB threshold policy (its
+# selector switches 165 times over the 5,269 event rows) and example_e
+# under a work-conserving static mode (5,658 rows), seed 1, default horizon.
+SIM_QCP_PINS = {
+    ("example_a2", "threshold", "25"): (
+        "0bfd5793270bef2e1425762a77a8c710ac4cd791393869fab2432fed98afcf04",
+        "5f2a04fc6abd1e12adaaa6639a667ea071a25cfa1bc65aed0f419049f1ef64cb",
+        "f1dba226a6bf9841717330c66f14aad7b363fc25ad2c08884075fbae3f45d77e",
+    ),
+    ("example_e", "static:1:wc", "16"): (
+        "c306db83f2131b7030dda5197bcd760796586e198fb3d4fe0136c31b189aa686",
+        "b1796c433d494694df2f728843bd4607e2e725128f6164515b2c90ae0b77de0f",
+        "d01a3e525b2029a2977dd85ccf827b96b2498a995be8a8c3defc0cce43988676",
+    ),
+}
+
+
+def _sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name,policy,n", sorted(SIM_QCP_PINS))
+def test_sim_qcp_report_and_csv_pinned(capsys, tmp_path, name, policy, n):
+    argv = ["sim-qcp", "--instance", path_of(name), "--n", n, "--policy", policy]
+    argv += ["--reps", "2", "--seed", "1"]
+    digests = []
+    for form in ("long", "wide"):
+        out_dir = tmp_path / form
+        wide = ["--wide"] if form == "wide" else []
+        code, out, _ = run(capsys, *argv, "--out", str(out_dir), *wide)
+        assert code == 0
+        if form == "long":
+            digests.append(hashlib.sha256(without_timing(out).encode()).hexdigest())
+        digests.append(_sha256_of(out_dir / "qcp-scaled.csv"))
+    assert tuple(digests) == SIM_QCP_PINS[(name, policy, n)]
