@@ -62,10 +62,9 @@ from .qcp import (
     MinimumNError,
     PolicySpec,
     SimulatorInvariantError,
-    check_trace_inequalities,
-    compute_scaled,
+    check_scaled,
     estimate_qcp_cost,
-    run_qcp,
+    record_qcp,
     verify_lower_bound,
 )
 from .wcp import default_horizon, estimate_wcp_cost, simulate_wcp
@@ -289,18 +288,54 @@ def _fmt_cell(v) -> str:
     return repr(float(v))
 
 
+def _csv_header(out, names, wide: bool) -> None:
+    out.writerow(["t", *names] if wide else ["t", "series", "name", "value"])
+
+
+def _csv_rows(out, times, series: str, columns: dict, wide: bool) -> None:
+    if wide:
+        for r, t in enumerate(times):
+            out.writerow([_fmt_cell(t)] + [_fmt_cell(col[r]) for col in columns.values()])
+    else:
+        for r, t in enumerate(times):
+            for name, col in columns.items():
+                out.writerow([_fmt_cell(t), series, name, _fmt_cell(col[r])])
+
+
 def _write_csv(path: str, times, series: str, columns: dict, wide: bool) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh)
-        if wide:
-            out.writerow(["t"] + list(columns))
-            for r, t in enumerate(times):
-                out.writerow([_fmt_cell(t)] + [_fmt_cell(col[r]) for col in columns.values()])
-        else:
-            out.writerow(["t", "series", "name", "value"])
-            for r, t in enumerate(times):
-                for name, col in columns.items():
-                    out.writerow([_fmt_cell(t), series, name, _fmt_cell(col[r])])
+        _csv_header(out, columns, wide)
+        _csv_rows(out, times, series, columns, wide)
+
+
+@contextlib.contextmanager
+def _scaled_csv(args: argparse.Namespace, inst: PssInstance):
+    """check_scaled's on_block under --out (None without it): writes each
+    block of the scaled series to qcp-scaled.csv as it comes, and removes
+    the file if the run fails."""
+    if not args.out:
+        yield None
+        return
+    names = ["w", "f", "l", "l_an", "h"]
+    names += [f"x_hat[{i + 1}]" for i in range(inst.num_classes)]
+    names += [f"i_hat[{k + 1}]" for k in range(inst.num_servers)]
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "qcp-scaled.csv")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh)
+        _csv_header(out, names, args.wide)
+
+        def write(grid) -> None:
+            columns = (grid.w, grid.f, grid.l, grid.l_an, grid.h, *grid.x_hat.T, *grid.i_hat.T)
+            _csv_rows(out, grid.times, "qcp", dict(zip(names, columns)), args.wide)
+
+        try:
+            yield write
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def _load(args: argparse.Namespace) -> tuple[bytes, PssInstance]:
@@ -437,10 +472,12 @@ def cmd_sim_qcp(args: argparse.Namespace) -> int:
     raw, inst, analysis, solution_of = _prepare(args, stages)
     policy = _parse_policy(args.policy, analysis, solution_of)
     with _stage(stages, "qcp"):
-        trace = run_qcp(inst, analysis, args.n, policy, horizon=args.horizon, seed=args.seed, rep=0)
-    with _stage(stages, "scaled_checks"):
-        series = compute_scaled(trace, args.n, analysis)
-        checks = check_trace_inequalities(series, analysis)
+        run = record_qcp(inst, analysis, args.n, policy, horizon=args.horizon, seed=args.seed, rep=0)
+    # The series and checks stream through blocks of event rows, and so
+    # does qcp-scaled.csv under --out.
+    with _stage(stages, "scaled_checks"), _scaled_csv(args, inst) as on_block:
+        scaled = check_scaled(run, args.n, analysis, on_block)
+    checks = scaled.checks
     estimate = None
     if args.reps >= 2:
         with _stage(stages, "qcp"):
@@ -453,29 +490,20 @@ def cmd_sim_qcp(args: argparse.Namespace) -> int:
                     args.reps,
                     horizon=args.horizon,
                     seed=args.seed,
-                    rep0=trace,
+                    rep0=run,
                 )
             )
     doc = {
         "meta": _meta(args, raw, "n", "policy", "horizon", "reps"),
         "n": args.n,
         "policy": policy.label,
-        "events": int(len(trace.times)) - 2,
-        "horizon": trace.horizon,
+        "events": scaled.rows - 2,
+        "horizon": run.horizon,
         "estimate": estimate,
-        "identity_residual": series.identity_residual,
+        "identity_residual": scaled.identity_residual,
         "checks": {**asdict(checks), "max_relative_violation": checks.max_relative_violation},
     }
     _emit(doc, args, started, stages)
-    if args.out:
-        columns = {"w": series.w, "f": series.f, "l": series.l, "l_an": series.l_an, "h": series.h}
-        for i in range(inst.num_classes):
-            columns[f"x_hat[{i + 1}]"] = series.x_hat[:, i]
-        for k in range(inst.num_servers):
-            columns[f"i_hat[{k + 1}]"] = series.i_hat[:, k]
-        _write_csv(
-            os.path.join(args.out, "qcp-scaled.csv"), series.times, "qcp", columns, args.wide
-        )
     return EXIT_OK
 
 

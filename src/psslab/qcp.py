@@ -16,11 +16,14 @@ the selector interval moves.
 
 A recorded run keeps an event log, not rows: each row's time and event,
 the effort b0 of each completing activity, and the state at each
-allocation change. run_qcp rebuilds the trace columns from it with numpy:
-counts as running sums over the events, the allocation filled forward
-from its changes, and busy as b0 + alloc (t - t0) from each activity's
-last re-base, the event loop's own arithmetic, so the columns are those
-the loop would have written row by row.
+allocation change. The trace columns are rebuilt from it with numpy, in
+blocks of event rows: counts as running sums over the events, the
+allocation filled forward from its changes, and busy as b0 + alloc (t -
+t0) from each activity's last re-base, the event loop's own arithmetic,
+so the columns are those the loop would have written row by row. Each
+block after the first starts at the last row of the one before, and only
+the state at the row before a block crosses into it: the running counts
+and each activity's last re-base.
 
 Scaled (diffusion regime) series derived from a trace:
 
@@ -52,6 +55,15 @@ BLAS call and leaves no BLAS thread spinning.
 The trace inequality checks cover the workload-cost comparison, the
 reflection lower bound through the Skorokhod map, and state/idleness
 monotonicity.
+
+Every series is elementwise in the event rows, and the identity and the
+checks are max and min reductions, with the Skorokhod map's running
+maximum carried from one block to the next. So check_scaled streams a
+recorded run (record_qcp) through the series and checks _BLOCK event rows
+at a time, holding the event log plus one block, and its results equal
+compute_scaled and check_trace_inequalities on run_qcp's trace bit for
+bit: those three are the same block code run on the whole trace as one
+block.
 """
 
 from __future__ import annotations
@@ -64,6 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product, repeat
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,24 +165,59 @@ class PolicySpec:
 
 
 @dataclass(frozen=True)
-class QcpTrace:
+class QcpRun:
+    """One replication: the instance, n, policy, horizon and streams that
+    key it, its discounted holding cost and the scaled holding cost h.Xhat
+    at the horizon. A recorded run, a trace or an event log, is one, and so
+    can stand for replication 0 of an estimate (estimate_qcp_cost's rep0)."""
+
+    inst: PssInstance
+    n: int
+    policy: PolicySpec
+    horizon: float
+    seed: int
+    rep: int
+    cost: float
+    h_horizon: float
+
+
+@dataclass(frozen=True)
+class QcpTrace(QcpRun):
     """Event-indexed record of one run; row 0 is the empty initial state
     and the last row sits exactly at the horizon."""
 
-    n: int
-    horizon: float
     times: np.ndarray  # (E,)
     x: np.ndarray  # (E, I) queue lengths
     arrivals: np.ndarray  # (E, I)
     departures: np.ndarray  # (E, J)
     busy: np.ndarray  # (E, J) cumulative allocated effort T_j
     alloc: np.ndarray  # (E, J) allocation in force until the next row
-    cost: float  # this replication's discounted holding cost
-    h_horizon: float  # scaled holding cost h.Xhat at the horizon
-    inst: PssInstance  # the run's instance, policy and streams
-    policy: PolicySpec
-    seed: int
-    rep: int
+
+
+@dataclass(frozen=True)
+class QcpLog(QcpRun):
+    """One run's event log, as _simulate records it; check_scaled streams
+    it through the scaled series and the checks."""
+
+    log: tuple
+
+    @property
+    def rows(self) -> int:
+        return len(self.log[0])
+
+
+class _Grid(NamedTuple):
+    """Scaled series of a run of event rows on their grid (see the module
+    docstring)."""
+
+    times: np.ndarray
+    x_hat: np.ndarray
+    i_hat: np.ndarray
+    w: np.ndarray
+    f: np.ndarray
+    l: np.ndarray
+    l_an: np.ndarray
+    h: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -324,7 +372,8 @@ def _simulate(
     A recorded run logs, per row, its time and the clock index of the
     event that led to it (-1 for row 0), and the b0 of the activity that
     completed; at each row where the allocation changes, the row index, the
-    allocation and every (b0, t0). _columns rebuilds the trace from these.
+    allocation and every (b0, t0). _column_blocks rebuilds the trace
+    columns from these.
     """
     lam_n, mu_n = effective_rates(inst, n)
     ctx = _Context(analysis, policy)
@@ -433,6 +482,22 @@ def _run_horizon(inst: PssInstance, n: int, horizon: float | None) -> float:
     return horizon
 
 
+def record_qcp(
+    inst: PssInstance,
+    analysis: LpAnalysis,
+    n: int,
+    policy: PolicySpec,
+    horizon: float | None = None,
+    seed: int = 0,
+    rep: int = 0,
+) -> QcpLog:
+    """Simulate one replication and keep its event log."""
+    horizon = _run_horizon(inst, n, horizon)
+    _check_instance(inst, analysis, "inst")
+    log, cost, h_horizon = _simulate(inst, analysis, n, policy, horizon, seed, rep, record=True)
+    return QcpLog(inst, n, policy, horizon, seed, rep, cost, h_horizon, log)
+
+
 def run_qcp(
     inst: PssInstance,
     analysis: LpAnalysis,
@@ -442,66 +507,92 @@ def run_qcp(
     seed: int = 0,
     rep: int = 0,
 ) -> QcpTrace:
-    """Simulate one replication and record the full event trace."""
-    horizon = _run_horizon(inst, n, horizon)
-    _check_instance(inst, analysis, "inst")
-    # The loop keeps an event log, not rows: each row's time and event, the
-    # b0 of each completion and the state at each allocation change.
-    # _columns rebuilds the columns from it, each into its own array.
-    log, cost, h_horizon = _simulate(inst, analysis, n, policy, horizon, seed, rep, record=True)
-    return QcpTrace(n, horizon, *_columns(log, inst), cost, h_horizon, inst, policy, seed, rep)
+    """Simulate one replication and record the full event trace: the
+    columns of its event log, rebuilt as one block."""
+    run = record_qcp(inst, analysis, n, policy, horizon, seed, rep)
+    columns = next(_column_blocks(run.log, inst, run.rows))
+    return QcpTrace(inst, n, policy, run.horizon, seed, rep, run.cost, run.h_horizon, *columns)
 
 
-def _columns(log, inst: PssInstance):
-    """The trace columns (times, x, arrivals, departures, busy, alloc) from
-    _simulate's event log, written into arrays allocated once.
+# Event rows per block of check_scaled: about 1.5 MB of columns, series
+# and temporaries on a 2 x 2 instance.
+_BLOCK = 4096
+
+
+def _column_blocks(log, inst: PssInstance, size: int):
+    """The trace columns (times, x, arrivals, departures, busy, alloc) of
+    _simulate's event log, in blocks of rows [0, size), [size - 1, 2 size),
+    [2 size - 1, 3 size) and so on: each block after the first starts at
+    the last row of the one before, which its first left limit holds.
 
     Counts are running sums of the events over the rows, and the allocation
     is filled forward from the rows where it changed. Activity j's effort
     is re-based at its completions and at allocation changes, the latter
     winning on a shared row; busy is b0 + alloc (t - t0) from the last
-    re-base at or before each row, the event loop's own arithmetic.
+    re-base at or before each row, the event loop's own arithmetic. What
+    crosses from one block to the next is the state at the row before it:
+    the counts and each activity's last re-base.
     """
     times, events, done_b0, changes = log
     ni, nj = inst.num_classes, inst.num_activities
-    t = np.frombuffer(times)
-    events = np.frombuffer(events, np.intc)
-    rows = len(t)
-    x, arrivals = np.empty((rows, ni), np.int64), np.empty((rows, ni), np.int64)
-    departures, busy = np.empty((rows, nj), np.int64), np.empty((rows, nj))
-    alloc = np.empty((rows, nj))
-    for i in range(ni):
-        np.cumsum(events == 1 + i, out=arrivals[:, i])
-    x[...] = arrivals
-    for j, act in enumerate(inst.activities):
-        np.cumsum(events == 1 + ni + j, out=departures[:, j])
-        x[:, act.class_index - 1] -= departures[:, j]
-
-    # index holds, per row, the position of the last allocation change in
-    # the log, then, for each activity, the row of its last re-base.
-    at, allocs, b0_at, t0_at = (np.array(c) for c in zip(*changes))
-    index = np.zeros(rows, np.intp)
-    index[at[1:]] = 1
-    np.cumsum(index, out=index)
-    np.take(allocs, index, axis=0, out=alloc)
-
-    completed = np.flatnonzero(events > ni)
+    t_all, e_all = np.frombuffer(times), np.frombuffer(events, np.intc)
     done_b0 = np.frombuffer(done_b0)
-    b0, t0 = np.empty(rows), np.empty(rows)
-    for j in range(nj):
-        own = events[completed] == 1 + ni + j
-        done = completed[own]
-        b0[done], t0[done] = done_b0[own], t[done]
-        b0[at], t0[at] = b0_at[:, j], t0_at[:, j]
-        index.fill(0)
-        index[done] = done
-        index[at] = at
-        np.maximum.accumulate(index, out=index)
-        col = busy[:, j]
-        np.subtract(t, t0[index], out=col)
-        col *= alloc[:, j]
-        col += b0[index]
-    return t, x, arrivals, departures, busy, alloc
+    at, allocs, b0_at, t0_at = (np.array(c) for c in zip(*changes))
+    rows = len(t_all)
+    arr0, dep0 = np.zeros(ni, np.int64), np.zeros(nj, np.int64)
+    base_b0, base_t0 = np.zeros(nj), np.zeros(nj)
+    r = 0
+    for end in range(size, rows + size, size):
+        b = min(end, rows)
+        m = b - r
+        t, events = t_all[r:b], e_all[r:b]
+        arrivals, departures = np.empty((m, ni), np.int64), np.empty((m, nj), np.int64)
+        for i in range(ni):
+            np.cumsum(events == 1 + i, out=arrivals[:, i])
+        arrivals += arr0
+        x = arrivals.copy()
+        for j, act in enumerate(inst.activities):
+            np.cumsum(events == 1 + ni + j, out=departures[:, j])
+            departures[:, j] += dep0[j]
+            x[:, act.class_index - 1] -= departures[:, j]
+
+        # index holds, per row, the position of the last allocation change
+        # in the log, then, for each activity, the row of its last re-base
+        # in the block, or -1 for one before the block, kept in slot m of
+        # b0 and t0.
+        lo, hi = np.searchsorted(at, (r, b))
+        changed = at[lo:hi] - r
+        index = np.zeros(m, np.intp)
+        index[changed] = 1
+        np.cumsum(index, out=index)
+        index += lo - 1
+        alloc = np.take(allocs, index, axis=0)
+
+        completed = np.flatnonzero(events > ni)
+        done = int(dep0.sum())
+        block_b0 = done_b0[done : done + len(completed)]
+        busy, b0, t0 = np.empty((m, nj)), np.empty(m + 1), np.empty(m + 1)
+        for j in range(nj):
+            own = events[completed] == 1 + ni + j
+            rebased = completed[own]
+            b0[rebased], t0[rebased] = block_b0[own], t[rebased]
+            b0[changed], t0[changed] = b0_at[lo:hi, j], t0_at[lo:hi, j]
+            b0[m], t0[m] = base_b0[j], base_t0[j]
+            index.fill(-1)
+            index[rebased] = rebased
+            index[changed] = changed
+            np.maximum.accumulate(index, out=index)
+            col = busy[:, j]
+            np.subtract(t, t0[index], out=col)
+            col *= alloc[:, j]
+            col += b0[index]
+            if m > 1:
+                base_b0[j], base_t0[j] = b0[index[-2]], t0[index[-2]]
+        if m > 1:
+            arr0, dep0 = arrivals[-2].copy(), departures[-2].copy()
+        del b0, t0, index
+        yield t, x, arrivals, departures, busy, alloc
+        r = b - 1
 
 
 # The event rows and the left limits of the 2E - 1 row grid.
@@ -528,11 +619,21 @@ def _check_instance(inst: PssInstance, analysis: LpAnalysis, what: str) -> None:
         raise ValueError(f"{what} is of another instance than the analysis")
 
 
-def _check_trace(trace: QcpTrace, n: int, analysis: LpAnalysis) -> None:
-    """Refuse a trace of another n or of another instance than the analysis."""
+def _check_trace(trace: QcpRun, n: int, analysis: LpAnalysis) -> None:
+    """Refuse a run of another n or of another instance than the analysis."""
     if n != trace.n:
         raise ValueError("n does not match the trace")
     _check_instance(trace.inst, analysis, "the trace")
+
+
+def _check_scalable(run: QcpRun, n: int, analysis: LpAnalysis) -> None:
+    """As _check_trace; scaled series also need the assumptions to pass."""
+    _check_trace(run, n, analysis)
+    if not analysis.assumptions.all_pass:
+        raise AssumptionError(
+            "scaled series need the unique dual point and classification",
+            analysis.assumptions.failing_parts,
+        )
 
 
 def _identity_coefficients(analysis: LpAnalysis):
@@ -560,30 +661,20 @@ def _weighted(columns: np.ndarray, weights) -> np.ndarray:
     return out
 
 
-def compute_scaled(trace: QcpTrace, n: int, analysis: LpAnalysis) -> ScaledSeries:
-    """Diffusion-scaled series on the 2E - 1 row grid.
+def _scaled(columns, n: int, analysis: LpAnalysis, coefficients) -> _Grid:
+    """The scaled series of a run of event rows, given as the trace columns
+    (times, x, arrivals, departures, busy), on the grid of those rows.
 
-    Verifies the workload identity W = F + L + Lan; a residual beyond
-    rounding (1e-6 of the series scale) aborts, since the identity is
-    algebraically exact.
+    Temporaries that span the rows are dropped as soon as their series are
+    on the grid, so the last steps allocate little beyond what is returned.
     """
-    _check_trace(trace, n, analysis)
-    if not analysis.assumptions.all_pass:
-        raise AssumptionError(
-            "scaled series need the unique dual point and classification",
-            analysis.assumptions.failing_parts,
-        )
     inst = analysis.instance
     rt = math.sqrt(n)
-    y_of, y_mu, an, y_lam = _identity_coefficients(analysis)
+    y_of, y_mu, an, y_lam = coefficients
     y, z = analysis.dual.y, analysis.dual.z
-
-    # Temporaries that span the event rows are dropped as soon as their
-    # series are on the grid, so the last steps allocate little beyond
-    # what is returned.
-    t, busy = trace.times, trace.busy
+    t, x, arrivals, departures, busy = columns
     times = _on_grid(t, held=False)
-    x_rows = trace.x / rt
+    x_rows = x / rt
     x_hat = _on_grid(x_rows, held=True)
     w = _on_grid(_weighted(x_rows, y), held=True)
     h = _on_grid(_weighted(x_rows, inst.h), held=True)
@@ -595,36 +686,91 @@ def compute_scaled(trace: QcpTrace, n: int, analysis: LpAnalysis) -> ScaledSerie
     i_hat = _on_grid(idle, held=False)
     l = _on_grid(_weighted(idle, z), held=False)
     del idle
-    f = _weighted(trace.arrivals, y) - _weighted(trace.departures, y_of)
+    f = _weighted(arrivals, y) - _weighted(departures, y_of)
     f = _on_grid(f / rt, held=True)
     _on_grid(rt * (_weighted(busy, y_mu) - t * float(y_lam)), held=False, out=f)
     l_an = _on_grid(rt * _weighted(busy, an), held=False)
+    return _Grid(times, x_hat, i_hat, w, f, l, l_an, h)
 
-    # Event rows and left limits are checked apart, in one buffer of the
-    # event rows' length.
+
+def _identity(grid) -> tuple[float, float]:
+    """(scale, residual) of series on a grid: the largest of 1, |W| and |F|,
+    and the largest |W - F - L - Lan|, the event rows and the left limits
+    apart, in one buffer of the event rows' length."""
+    w, f = grid.w, grid.f
     scale = float(max(1.0, w.max(), -w.min(), f.max(), -f.min()))
-    residual, buffer = 0.0, np.empty(len(t))
+    residual, buffer = 0.0, np.empty((len(w) + 1) // 2)
     for r in _HALVES:
         gap = np.subtract(w[r], f[r], out=buffer[: len(w[r])])
-        gap -= l[r]
-        gap -= l_an[r]
+        gap -= grid.l[r]
+        gap -= grid.l_an[r]
         residual = max(residual, float(np.max(np.abs(gap, out=gap), initial=0.0)))
+    return scale, residual
+
+
+def _check_identity(residual: float, scale: float) -> None:
+    """A residual beyond rounding (1e-6 of the series scale) aborts, since
+    the identity is algebraically exact."""
     if residual > 1e-6 * scale:
         raise SimulatorInvariantError(
             f"workload identity residual {residual:.3e} exceeds rounding at scale {scale:.3e}"
         )
-    return ScaledSeries(
-        times=times,
-        x_hat=x_hat,
-        i_hat=i_hat,
-        w=w,
-        f=f,
-        l=l,
-        l_an=l_an,
-        h=h,
-        scale=scale,
-        identity_residual=residual,
-    )
+
+
+def compute_scaled(trace: QcpTrace, n: int, analysis: LpAnalysis) -> ScaledSeries:
+    """Diffusion-scaled series on the 2E - 1 row grid.
+
+    Verifies the workload identity W = F + L + Lan; a residual beyond
+    rounding (1e-6 of the series scale) aborts, since the identity is
+    algebraically exact.
+    """
+    _check_scalable(trace, n, analysis)
+    columns = (trace.times, trace.x, trace.arrivals, trace.departures, trace.busy)
+    grid = _scaled(columns, n, analysis, _identity_coefficients(analysis))
+    scale, residual = _identity(grid)
+    _check_identity(residual, scale)
+    return ScaledSeries(*grid, scale=scale, identity_residual=residual)
+
+
+class _Checks:
+    """Largest violations of the pathwise relations over consecutive pieces
+    of the grid, each starting at the row that ended the one before (see
+    check_trace_inequalities); the Skorokhod map's running maximum of F^-
+    crosses from one piece to the next."""
+
+    def __init__(self, analysis: LpAnalysis):
+        q = self.q = analysis.q
+        self.ratio = analysis.instance.h[q] / float(analysis.dual.y[q])
+        self.cost = self.axis = self.reflection = self.state = self.idleness = 0.0
+        self.eta = 0.0
+
+    def add(self, grid) -> None:
+        ratio, q = self.ratio, self.q
+        x_hat, w, h, i_hat = grid.x_hat, grid.w, grid.h, grid.i_hat
+        for r in _HALVES:
+            self.cost = max(self.cost, float(np.max(ratio * w[r] - h[r], initial=0.0)))
+            on_axis = x_hat[r].sum(axis=1) - x_hat[r, q] == 0.0
+            if np.any(on_axis):
+                gap = float(np.max(np.abs(h[r][on_axis] - ratio * w[r][on_axis])))
+                self.axis = max(self.axis, gap)
+        self.state = max(self.state, -float(np.min(x_hat)))
+        # Steps into a left limit, then out of it.
+        steps = ((i_hat[1::2], i_hat[:-1:2]), (i_hat[2::2], i_hat[1::2]))
+        self.idleness = max(self.idleness, -min(float(np.min(b - a, initial=0.0)) for b, a in steps))
+        gap, eta = skorokhod_map(grid.f, self.eta)
+        self.eta = float(eta[-1])
+        del eta
+        gap -= w
+        self.reflection = max(self.reflection, float(np.max(gap, initial=0.0)))
+
+    def result(self, scale: float) -> TraceChecks:
+        return TraceChecks(
+            cost_vs_workload=self.cost / scale,
+            cost_equality_on_axis=self.axis / scale,
+            reflection=self.reflection / scale,
+            state_nonneg=self.state / scale,
+            idleness_monotone=self.idleness / scale,
+        )
 
 
 def check_trace_inequalities(series: ScaledSeries, analysis: LpAnalysis) -> TraceChecks:
@@ -634,32 +780,44 @@ def check_trace_inequalities(series: ScaledSeries, analysis: LpAnalysis) -> Trac
     Each relation is checked over the event rows and the left limits apart,
     or in place, so that the only temporaries spanning the whole grid are
     the reflection's."""
-    inst = analysis.instance
-    q = analysis.q
-    ratio = inst.h[q] / float(analysis.dual.y[q])
-    s = series.scale
-    x_hat, w, h, i_hat = series.x_hat, series.w, series.h, series.i_hat
+    checks = _Checks(analysis)
+    checks.add(series)
+    return checks.result(series.scale)
 
-    viol_h = eq_viol = 0.0
-    for r in _HALVES:
-        viol_h = max(viol_h, float(np.max(ratio * w[r] - h[r], initial=0.0)))
-        on_axis = x_hat[r].sum(axis=1) - x_hat[r, q] == 0.0
-        if np.any(on_axis):
-            eq_viol = max(eq_viol, float(np.max(np.abs(h[r][on_axis] - ratio * w[r][on_axis]))))
-    viol_state = max(0.0, -float(np.min(x_hat)))
-    # Steps into a left limit, then out of it.
-    steps = ((i_hat[1::2], i_hat[:-1:2]), (i_hat[2::2], i_hat[1::2]))
-    viol_idle = max(0.0, -min(float(np.min(b - a, initial=0.0)) for b, a in steps))
-    gap = skorokhod_map(series.f)[0]
-    gap -= w
-    viol_reflect = float(np.max(gap, initial=0.0))
-    return TraceChecks(
-        cost_vs_workload=viol_h / s,
-        cost_equality_on_axis=eq_viol / s,
-        reflection=viol_reflect / s,
-        state_nonneg=viol_state / s,
-        idleness_monotone=viol_idle / s,
-    )
+
+@dataclass(frozen=True)
+class ScaledChecks:
+    """What compute_scaled and check_trace_inequalities report of a run:
+    its event rows, the series scale, the identity residual and the
+    checks."""
+
+    rows: int
+    scale: float
+    identity_residual: float
+    checks: TraceChecks
+
+
+def check_scaled(run: QcpLog, n: int, analysis: LpAnalysis, on_block=None) -> ScaledChecks:
+    """compute_scaled and check_trace_inequalities of a recorded run, bit
+    for bit, streamed _BLOCK event rows at a time, so that only the event
+    log and one block are held. on_block, when given, receives each
+    block's series on its grid rows as a named tuple (times, x_hat, i_hat,
+    w, f, l, l_an, h) in order, each block's without the row the one
+    before ended with: together they are compute_scaled's series."""
+    _check_scalable(run, n, analysis)
+    coefficients = _identity_coefficients(analysis)
+    checks = _Checks(analysis)
+    scale, residual = 1.0, 0.0
+    for k, columns in enumerate(_column_blocks(run.log, run.inst, _BLOCK)):
+        grid = _scaled(columns[:5], n, analysis, coefficients)
+        block_scale, block_residual = _identity(grid)
+        scale, residual = max(scale, block_scale), max(residual, block_residual)
+        checks.add(grid)
+        if on_block is not None:
+            on_block(grid if k == 0 else _Grid(*(s[1:] for s in grid)))
+        del grid
+    _check_identity(residual, scale)
+    return ScaledChecks(run.rows, scale, residual, checks.result(scale))
 
 
 def _rep_cost(args) -> tuple[float, float]:
@@ -682,8 +840,10 @@ def _map_reps(tasks: list) -> list[tuple[float, float]]:
 
 
 def _summary(results: list[tuple[float, float]], gamma: float, horizon: float) -> McEstimate:
-    """Cost estimate from the (cost, H at horizon) of each replication;
-    the mean H at the horizon bounds the discarded tail."""
+    """Cost estimate from the (cost, H at horizon) of each replication.
+    Its truncation_bound, e^{-gamma T} mean(H_T) / gamma, is the discarded
+    tail's value were h.Xhat to stay at its mean horizon value: an
+    estimate of the tail, not a proved bound on it."""
     costs = np.array([r[0] for r in results])
     tail_h = float(np.mean([r[1] for r in results]))
     return McEstimate.from_costs(costs, 0.0, horizon, math.exp(-gamma * horizon) * tail_h / gamma)
@@ -697,7 +857,7 @@ def estimate_qcp_cost(
     n_reps: int,
     horizon: float | None = None,
     seed: int = 0,
-    rep0: QcpTrace | None = None,
+    rep0: QcpRun | None = None,
 ) -> McEstimate:
     """Monte Carlo discounted holding cost of the scaled state.
 
@@ -705,9 +865,12 @@ def estimate_qcp_cost(
     exactly between events. Replication r draws from streams keyed by
     (seed, r), so estimates do not depend on scheduling; PSS_THREADS
     spreads replications over worker processes (see _map_reps). rep0, a
-    run_qcp trace of replication 0 of this run (same instance, n, policy,
-    horizon and seed), supplies that replication's cost, which is then not
-    simulated again.
+    recorded replication 0 of this run (same instance, n, policy, horizon
+    and seed; a run_qcp trace or a record_qcp log), supplies that
+    replication's cost and H at the horizon, which is then not simulated
+    again. The result's truncation_bound estimates the discounted cost
+    past the horizon from the mean H at the horizon; it is not a proved
+    bound (see _summary).
     """
     if n_reps < 2:
         raise ValueError("n_reps must be at least 2")

@@ -98,14 +98,16 @@ def default_horizon(gamma: float) -> float:
     return 12.0 / gamma
 
 
-def skorokhod_map(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def skorokhod_map(psi: np.ndarray, eta0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """One-sided reflection of a path sampled on a grid.
 
     eta(t) = max_{s<=t} psi(s)^-, phi = psi + eta; phi >= 0, eta
-    nondecreasing, and eta grows only where phi = 0.
+    nondecreasing, and eta grows only where phi = 0. eta0, the last eta of
+    an earlier piece of the path, continues the map on the next piece.
     """
     psi = np.asarray(psi, dtype=float)
     eta = np.maximum.accumulate(np.maximum(-psi, 0.0))
+    np.maximum(eta, eta0, out=eta)
     return psi + eta, eta
 
 

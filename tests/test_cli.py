@@ -16,7 +16,7 @@ from psslab.cli import _parse_policy, main
 from psslab.hjb import extract_policy, solve_hjb
 from psslab.lp import analyze
 from psslab.model import load_instance
-from psslab.qcp import PolicySpec, estimate_qcp_cost
+from psslab.qcp import PolicySpec, SimulatorInvariantError, estimate_qcp_cost
 
 
 def run(capsys, *argv):
@@ -242,6 +242,22 @@ def test_sim_qcp_wide_csv(capsys, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "w", "f", "l", "l_an", "h", "x_hat[1]", "i_hat[1]"]
     assert all(len(r) == 8 for r in rows[1:])
+
+
+def test_sim_qcp_failed_run_leaves_no_csv(capsys, tmp_path, monkeypatch):
+    # qcp-scaled.csv is written a block at a time while the checks run; a
+    # run whose identity check fails at the end leaves no file behind.
+    streamed = cli.check_scaled
+
+    def failing(run, n, analysis, on_block):
+        streamed(run, n, analysis, on_block)
+        raise SimulatorInvariantError("workload identity residual")
+
+    monkeypatch.setattr(cli, "check_scaled", failing)
+    argv = ["--n", "9", "--policy", "static:0", "--horizon", "1", "--reps", "1"]
+    code, out, err = run(capsys, "sim-qcp", "--instance", path_of("mm1"), *argv, "--out", str(tmp_path))
+    assert code == 30 and out == "" and "workload identity" in err
+    assert not (tmp_path / "qcp-scaled.csv").exists()
 
 
 def test_sim_qcp_minimum_n(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pathlib
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
@@ -529,19 +530,35 @@ def test_compute_scaled_peak_memory_near_its_output(get_instance, get_analysis):
     assert peak <= 1.4 * returned
 
 
-@pytest.mark.parametrize("name", ["example_a2", "example_e"])
-def test_scaled_series_match_the_matrix_products(get_instance, get_analysis, name):
+# perfbench/grids.py's generic 3x3 grid at seed 1: its activities 0 and 6
+# are always nonbasic, with Lan coefficients z*_k - y*_i mu_j = 1/24.
+GENERIC_3X3 = pathlib.Path(__file__).resolve().parent / "data" / "generic_3x3.json"
+
+
+@pytest.fixture(scope="module")
+def generic_grid():
+    inst = ps.load_instance(GENERIC_3X3.read_bytes())
+    return inst, ps.analyze(inst)
+
+
+@pytest.mark.parametrize("name", ["example_a2", "example_e", "generic_3x3"])
+def test_scaled_series_match_the_matrix_products(get_instance, get_analysis, generic_grid, name):
     # compute_scaled sums over activities and servers term by term, so no
     # BLAS call is made; the matrix products give the same series to
     # rounding, and the exact identity still holds. example_e has three
-    # servers and seven activities.
+    # servers and seven activities; the generic grid a nonzero Lan.
+    n = 64
     if name == "example_a2":
         trace, an = _switching_trace(get_instance, get_analysis)
-    else:
+    elif name == "example_e":
         an = get_analysis(name)
-        trace = run_qcp(get_instance(name), an, 64, PolicySpec.static_mode(1, True), 2.0, seed=3)
-    inst, rt = an.instance, 8.0
-    series = compute_scaled(trace, 64, an)
+        trace = run_qcp(get_instance(name), an, n, PolicySpec.static_mode(1, True), 2.0, seed=3)
+    else:
+        inst, an = generic_grid
+        n = 16
+        trace = run_qcp(inst, an, n, PolicySpec.server_priority(inst.server_activities), seed=1)
+    inst, rt = an.instance, math.sqrt(n)
+    series = compute_scaled(trace, n, an)
     *per_activity, y_lam = qcp._identity_coefficients(an)
     y_of, y_mu, lan = (np.array([float(v) for v in c]) for c in per_activity)
     y, z = (np.array([float(v) for v in d]) for d in (an.dual.y, an.dual.z))
@@ -566,7 +583,7 @@ def test_scaled_series_match_the_matrix_products(get_instance, get_analysis, nam
         got = getattr(series, field)
         assert got.shape == values.shape, field
         assert np.max(np.abs(got - values)) <= 1e-12 * series.scale, field
-    assert identity_residual_exact(trace, 64, an) == F(0)
+    assert identity_residual_exact(trace, n, an) == F(0)
 
 
 def test_check_trace_inequalities_peak_memory(get_instance, get_analysis):
@@ -590,6 +607,142 @@ def test_check_trace_inequalities_peak_memory(get_instance, get_analysis):
             tracemalloc.stop()
     assert checks.max_relative_violation <= 1e-8
     assert peak <= 3.5 * series.f.nbytes
+
+
+def _stream_runs(get_instance, get_analysis, generic_grid):
+    """(instance, analysis, n, policy, horizon, seed) of short runs: one
+    whose selector switches 26 times over 529 rows, one with a nonzero Lan,
+    a zero horizon, and a positive horizon before the first event, so with
+    no allocation change after row 0."""
+    a2, an2 = get_instance("example_a2"), get_analysis("example_a2")
+    inst, an = generic_grid
+    return {
+        "switching": (a2, an2, 16, _pinned_policy(a2, an2, "threshold"), 2.0, 1),
+        "lan": (inst, an, 16, PolicySpec.server_priority(inst.server_activities), 2.0, 1),
+        "zero_horizon": (
+            get_instance("example_a"), get_analysis("example_a"), 9, PolicySpec.static_mode(0), 0.0, 0
+        ),
+        "no_change": (get_instance("mm1"), get_analysis("mm1"), 1, PolicySpec.static_mode(0), 0.05, 0),
+    }
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, qcp._BLOCK, 10**9])
+@pytest.mark.parametrize("run", ["switching", "lan", "zero_horizon", "no_change"])
+def test_streamed_checks_equal_the_whole_trace_at_any_block_size(
+    get_instance, get_analysis, generic_grid, monkeypatch, run, size
+):
+    inst, an, n, policy, horizon, seed = _stream_runs(get_instance, get_analysis, generic_grid)[run]
+    trace = run_qcp(inst, an, n, policy, horizon, seed)
+    series = compute_scaled(trace, n, an)
+    expected = qcp.ScaledChecks(
+        len(trace.times), series.scale, series.identity_residual, check_trace_inequalities(series, an)
+    )
+    if run == "no_change":
+        assert len(trace.times) == 2 and trace.times[-1] == horizon
+    monkeypatch.setattr(qcp, "_BLOCK", size)
+    recorded = qcp.record_qcp(inst, an, n, policy, horizon, seed)
+    assert (recorded.cost, recorded.h_horizon) == (trace.cost, trace.h_horizon)
+    blocks = []
+    got = qcp.check_scaled(recorded, n, an, on_block=blocks.append)
+    # repr tells the sign of a zero apart, as the JSON report does.
+    assert repr(got) == repr(expected)
+    assert len(blocks) == -(-len(trace.times) // size)
+    for field in qcp._Grid._fields:
+        joined = np.concatenate([getattr(b, field) for b in blocks])
+        assert np.array_equal(joined, getattr(series, field)), field
+
+
+def test_checks_over_overlapping_pieces_equal_the_whole(get_analysis):
+    # Random series violate every relation, so each running maximum, and
+    # the Skorokhod map's maximum carried from piece to piece, shows.
+    an = get_analysis("example_a2")
+    rng = np.random.default_rng(5)
+    rows = 2 * 300 - 1
+
+    def walk(*shape):
+        return rng.normal(size=(rows, *shape)).cumsum(axis=0)
+
+    grid = qcp._Grid(
+        times=np.arange(rows, dtype=float),
+        x_hat=rng.integers(-1, 3, (rows, 2)) / 4.0,
+        i_hat=walk(2),
+        w=walk(),
+        f=walk(),
+        l=walk(),
+        l_an=walk(),
+        h=walk(),
+    )
+    whole = qcp._Checks(an)
+    whole.add(grid)
+    assert min(vars(whole.result(1.0)).values()) > 0.0
+    for size in (1, 2, 7, 300):
+        pieces = qcp._Checks(an)
+        for start in range(0, rows - 1, 2 * size):
+            pieces.add(qcp._Grid(*(s[start : start + 2 * size + 1] for s in grid)))
+        assert repr(pieces.result(1.0)) == repr(whole.result(1.0)), size
+
+
+def test_lan_nonzero_on_the_generic_grid(generic_grid):
+    # No shipped instance that passes the assumptions has an always-nonbasic
+    # activity; this grid has two, and both policies give them effort.
+    inst, an = generic_grid
+    assert an.assumptions.all_pass
+    lan = qcp._identity_coefficients(an)[2]
+    assert lan == [F(1, 24), 0, 0, 0, 0, 0, F(1, 24), 0, 0]
+    policies = {"priority": 0.8, "static:0:wc": 0.1}
+    for label, lan_min in policies.items():
+        policy = _pinned_policy(inst, an, label)
+        trace = run_qcp(inst, an, 16, policy, seed=1)
+        assert np.all(trace.busy[-1, [0, 6]] > 0.0), label
+        series = compute_scaled(trace, 16, an)
+        assert np.max(np.abs(series.l_an)) > lan_min, label
+        assert identity_residual_exact(trace, 16, an) == F(0)
+        streamed = qcp.check_scaled(qcp.record_qcp(inst, an, 16, policy, seed=1), 16, an)
+        assert streamed.identity_residual == series.identity_residual
+        assert streamed.checks == check_trace_inequalities(series, an)
+        assert streamed.checks.max_relative_violation <= 1e-8
+
+
+def _traced(call):
+    """(result, traced bytes held after, traced peak) of call(), both over
+    the traced bytes before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, held - before, peak - before
+
+
+def test_streamed_checks_hold_the_event_log_plus_one_block(get_instance, get_analysis):
+    # Measured before this test first ran (example_a2, n = 64, threshold
+    # 0.36, seed 2, default _BLOCK): the traced peak of record_qcp plus
+    # check_scaled was at most 1.9 times the event log plus one block's
+    # grid series, and check_scaled's own peak 1.46 and 1.55 MB at horizons
+    # 12 and 48 (13,513 and 55,585 rows), where compute_scaled's grew from
+    # 2.27 to 9.34 MB.
+    inst, an = get_instance("example_a2"), get_analysis("example_a2")
+    policy = _pinned_policy(inst, an, "threshold")
+    peaks, whole = [], []
+    for horizon in (12.0, 48.0):
+        run, log, _ = _traced(lambda: qcp.record_qcp(inst, an, 64, policy, horizon, seed=2))
+        block = []
+        _, _, peak = _traced(
+            lambda: qcp.check_scaled(run, 64, an, lambda g: block.append(sum(a.nbytes for a in g)))
+        )
+        assert log + peak <= 2.5 * (log + max(block)), horizon
+        peaks.append(peak)
+        trace = run_qcp(inst, an, 64, policy, horizon, seed=2)
+        whole.append(_traced(lambda: compute_scaled(trace, 64, an))[2])
+        del run, trace
+    assert peaks[1] <= 1.2 * peaks[0]
+    assert whole[1] >= 3.0 * whole[0]
 
 
 @pytest.mark.parametrize(
