@@ -868,6 +868,18 @@ KERNEL_PINS = {
     ("example_a2", "threshold:wc", 8): (1.7075638440402852, 5.800000000000001,
         "df187a7e0a78eb2331091a5365f1c89f058a39d6cbb654703fc2fe0726f2a512",
         "8dff0ec447704bf047c93229d1e787fb5ca2c92c5d3d4c50ec7007b0db375e09"),
+    ("generic_3x3", "priority", 3): (6.146408333636412, 15.0,
+        "1462672d760705b1791859ab1f1d919274bc8529f806fd8a549089f68812b486",
+        "6317bb141ff642a22db7c6dd10b602dfb70bc61dbaf24368639c06fa593560d5"),
+    ("generic_3x3", "priority", 8): (2.7613819652398623, 18.875,
+        "4aeb1008036bba682a2f3997a474f414b42b73dbd871d0ce4690ecaae5f74846",
+        "935fae2bc00efed9aaeeaaa4a9930ae5d1189f00bcefd1403370ae2746475a1a"),
+    ("generic_3x3", "static:0:wc", 3): (3.706872272900909, 6.875,
+        "b52a96185b5640be944912ac6699558ad45f28121a4017e82a494e47fd672b4b",
+        "d5f68303317e081b79f67f4b5fc8f93131c59219bfe009d9a4b48c523d70aa1b"),
+    ("generic_3x3", "static:0:wc", 8): (1.6310662368765312, 12.375,
+        "2a57ccae471ce90db0fc14864eb89bf4574949b4fe19efbb0eb5b5b684245e94",
+        "506788b0ec5ba9f2468604974a4f469d8252fc3e6549e4e5df4bba25d81a7e14"),
     ("mm1", "priority", 3): (1.0067117064482562, 2.5,
         "cfa88e380666def177a068a6a98066255ec9dbab1238242aa975405f77603c94",
         "e8892b6541fea743e1e14f5f35dea3e62d8a51784ad3f488fe7d2ff46806b53a"),
@@ -899,7 +911,14 @@ KERNEL_PINS = {
         "c85f6d4e6b93003fa097eb22a2e05c7effdf11045a695d996271efc9e4f3b7e4",
         "49c2c597d1a81bcb4dec8037a1dd70adc09f9b7e3db83a2a0b5f0a004da43479"),
 }
-KERNEL_RUNS = {"example_a": (25, 2.0), "example_a2": (25, 2.0), "mm1": (100, 8.0)}
+# generic_3x3 has three classes and nine activities, so a clock of 1 + 3 + 9
+# entries, the largest of the pinned runs.
+KERNEL_RUNS = {
+    "example_a": (25, 2.0),
+    "example_a2": (25, 2.0),
+    "generic_3x3": (16, 2.0),
+    "mm1": (100, 8.0),
+}
 
 
 def _pinned_policy(inst, an, label):
@@ -924,9 +943,8 @@ def _digest(trace, fields) -> str:
 
 
 @pytest.mark.parametrize("name,label,seed", sorted(KERNEL_PINS))
-def test_event_kernel_pinned(get_instance, get_analysis, name, label, seed):
-    inst = get_instance(name)
-    an = get_analysis(name)
+def test_event_kernel_pinned(get_instance, get_analysis, generic_grid, name, label, seed):
+    inst, an = generic_grid if name == "generic_3x3" else (get_instance(name), get_analysis(name))
     n, horizon = KERNEL_RUNS[name]
     policy = _pinned_policy(inst, an, label)
     assert policy.label == label
@@ -959,5 +977,60 @@ def test_event_kernel_pinned_at_benchmark_size(get_instance, get_analysis):
     trace = run_qcp(inst, an, 400, policy, seed=1, rep=0)
     assert len(trace.times) == 86_119
     assert (trace.cost, trace.h_horizon) == (cost, h_t)
+    assert _digest(trace, ("x", "arrivals", "departures")) == counts
+    assert _digest(trace, ("times", "busy", "alloc")) == floats
+
+
+# One class on two servers, its two activities of equal dyadic rate with
+# deterministic services (c2_s = 0): at n = 16 each service takes exactly
+# 1/16. The two activities gain and lose effort together, so their
+# thresholds, re-bases and completion times are equal floats, and they
+# complete at the same instant, a random arrival time plus a whole number of
+# 1/16. TIE_PIN holds the horizon, set on the last such instant before 2 of
+# a longer run (the streams do not depend on the horizon), then cost and H
+# at the horizon and the count and float digests.
+TIE_DOC = {
+    "classes": [{"lambda": 2, "hat_lambda": 0.0, "c2_a": 1.0, "h": 1.0}],
+    "servers": 2,
+    "activities": [
+        {"i": 1, "k": 1, "mu": 1, "hat_mu": 0.0, "c2_s": 0.0},
+        {"i": 1, "k": 2, "mu": 1, "hat_mu": 0.0, "c2_s": 0.0},
+    ],
+    "gamma": 1.0,
+}
+TIE_PIN = (1.966712209651303, 0.5929634826128231, 2.5,
+    "611d71b6b97e5048a9730e0b797adb14afd47fd13d65c06cd3277e7c3979316a",
+    "478b0063e82d39cd1094699b623dc337736ade1cf662e6e77995153850d54c02")
+
+
+def test_tied_events_resolve_by_clock_index():
+    import json
+
+    inst = ps.load_instance(json.dumps(TIE_DOC))
+    an = ps.analyze(inst)
+    policy = PolicySpec.static_mode(0)
+    run = qcp.record_qcp(inst, an, 16, policy, 4.0, seed=1)
+    times, events = np.frombuffer(run.log[0]), np.frombuffer(run.log[1], np.intc)
+    tied = np.flatnonzero(times[1:] == times[:-1])
+    assert len(tied) > 20
+    # Clock indices 1, 2 and 3 are the arrivals and activities 0 and 1, and
+    # the lower index goes first at every tied instant. Mostly the two
+    # activities complete together; where activity 0's completion empties
+    # the class, activity 1 keeps the effort that reached its threshold and
+    # completes at the next arrival's instant, after the arrival.
+    pairs = events[tied], events[tied + 1]
+    assert set(zip(*(p.tolist() for p in pairs))) == {(2, 3), (1, 3)}
+    both = tied[(pairs[0] == 2) & (times[tied] <= 2.0)]
+    horizon = float(times[both[-1]])
+    pin_horizon, cost, h_t, counts, floats = TIE_PIN
+    assert horizon == pin_horizon
+    _, got_cost, got_h_t = _simulate(inst, an, 16, policy, horizon, 1, 0, record=False)
+    assert (got_cost, got_h_t) == (cost, h_t)
+    # The horizon ties with both completions and ends the run before them.
+    trace = run_qcp(inst, an, 16, policy, horizon, seed=1)
+    assert (trace.cost, trace.h_horizon) == (cost, h_t)
+    assert trace.times[-1] == horizon > trace.times[-2]
+    assert np.array_equal(trace.departures[-1], trace.departures[-2])
+    assert trace.x[-1, 0] >= 2
     assert _digest(trace, ("x", "arrivals", "departures")) == counts
     assert _digest(trace, ("times", "busy", "alloc")) == floats
