@@ -10,13 +10,19 @@ to it, at the allocated fraction (head-of-line effort splitting with
 preemptive resume, so a frozen clock keeps its progress). Queue lengths
 are exact integer counts; between events all continuous quantities are
 linear, so traces record event instants only and every integral below is
-evaluated piecewise exactly. Work per event is constant and small (see
-_simulate), and the allocation is looked up only when the backlog mask or
-the selector interval moves.
+evaluated piecewise exactly. The next event comes off a binary heap of
+(time, clock index) pairs, one per clock entry (the horizon, the arrivals,
+the service completions), so equal times resolve to the lower index: the
+horizon first, then arrivals, then completions. An arrival or a completion
+moves only its own entry; the allocation is looked up only when the
+backlog mask or the selector interval moves, and where it changes the
+moved completion times are rewritten and the heap is rebuilt (see
+_simulate).
 
 A recorded run keeps an event log, not rows: each row's time and event,
-the effort b0 of each completing activity, and the state at each
-allocation change. The trace columns are rebuilt from it with numpy, in
+the effort b0 of each completing activity, and at each allocation change
+its row, the allocation and every b0 and t0, all in flat arrays. The
+trace columns are rebuilt from it with numpy, in
 blocks of event rows: counts as running sums over the events, the
 allocation filled forward from its changes, and busy as b0 + alloc (t -
 t0) from each activity's last re-base, the event loop's own arithmetic,
@@ -74,6 +80,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heapreplace
 from itertools import chain, product, repeat
 from operator import mul
 from typing import NamedTuple
@@ -360,25 +367,31 @@ def _simulate(
     """Core event loop. Returns (event log or None, discounted cost, H at
     horizon).
 
-    clock holds absolute event times: the horizon, the I next arrivals,
-    then the J service completions (inf without effort), so the first
-    earliest entry is the next event and the horizon wins ties. Activity
-    j's cumulative effort is b0[j] + eff[j] (t - t0[j]); its completion
-    time changes only when it completes or its effort changes. The
-    allocation is looked up only when the backlog mask or the selector
-    interval has moved. hx = h.x and wy = y.x are running sums (exact for
-    integer-valued weights), re-summed whenever the allocation changes.
+    The clock has one entry per event source, by clock index: 0 the
+    horizon, 1..I the classes' next arrivals, then the J activities' next
+    service completions (inf without effort), each an absolute time. A
+    binary heap of (time, clock index) pairs orders them, so heap[0] is the
+    next event and ties go to the lower index: the horizon first, then
+    arrivals, then completions, each in index order. An arrival or a
+    completion moves only its own entry, one heapreplace. Activity j's
+    cumulative effort is b0[j] + eff[j] (t - t0[j]); its completion time
+    changes only when it completes or its effort changes. The allocation is
+    looked up only when the backlog mask or the selector interval has
+    moved; when it changes, every moved completion time is rewritten and
+    the heap rebuilt. hx = h.x and wy = y.x are running sums (exact for
+    integer-valued weights), re-summed whenever the allocation changes; wy
+    is kept only under a switching selector.
 
     A recorded run logs, per row, its time and the clock index of the
     event that led to it (-1 for row 0), and the b0 of the activity that
     completed; at each row where the allocation changes, the row index, the
-    allocation and every (b0, t0). _column_blocks rebuilds the trace
-    columns from these.
+    allocation and every b0 and t0, each in one flat array. _column_blocks
+    rebuilds the trace columns from these.
     """
     lam_n, mu_n = effective_rates(inst, n)
     ctx = _Context(analysis, policy)
     ni, nj = inst.num_classes, inst.num_activities
-    gamma = inst.gamma
+    off = 1 + ni  # clock index of activity 0
 
     def draws(kind: int, idx: int, scv: float, rate: float):
         seq = np.random.SeedSequence(seed, spawn_key=(rep, kind, idx))
@@ -387,23 +400,43 @@ def _simulate(
     arr_next = [draws(0, i, inst.c2_arrival[i], lam_n[i]) for i in range(ni)]
     svc_next = [draws(1, j, inst.c2_service[j], mu_n[j]) for j in range(nj)]
 
+    h, y, tables, cls_of, cuts = ctx.h, ctx.y, ctx.tables, ctx.cls_of, ctx.cuts
+    # Per clock index: the stream drawn at the event, its class, and the
+    # changes of h.x and y.x it makes (the horizon's are never read).
+    draw = [None, *arr_next, *svc_next]
+    cls = [0, *range(ni), *cls_of]
+    dh = [0.0, *h, *(-h[i] for i in cls_of)]
+    dy = [0.0, *y, *(-y[i] for i in cls_of)]
+
     t = 0.0
     x = [0] * ni
-    thresh = [draw() for draw in svc_next]
-    clock = [horizon] + [draw() for draw in arr_next] + [math.inf] * nj
+    thresh = [d() for d in svc_next]
+    clock = [horizon] + [d() for d in arr_next] + [math.inf] * nj
+    keys = range(len(clock))
+    heap = list(zip(clock, keys))
+    heapify(heap)
     eff = [0.0] * nj
     b0 = [0.0] * nj
     t0 = [0.0] * nj
-    h, y, tables, cls_of, cuts = ctx.h, ctx.y, ctx.tables, ctx.cls_of, ctx.cuts
     inv_sqrt_n = 1.0 / math.sqrt(n)
+    neg_gamma = -inst.gamma
+    exp = math.exp
     switching = bool(cuts)
+    # Interval p of the selector holds the scaled workloads lo <= w < hi.
+    bounds = list(zip((-math.inf, *cuts), (*cuts, math.inf)))
     p, mask = bisect_right(cuts, 0.0), 0
+    lo, hi = bounds[p]
     xi = None
     moved = True
 
-    log = (array("d"), array("i"), array("d"), []) if record else None
     if record:
-        log_t, log_e, log_b0, changes = log[0].append, log[1].append, log[2].append, log[3]
+        # Per row: time, event and a completion's b0; per allocation change:
+        # row, allocation, b0 and t0 (J entries each).
+        log = tuple(map(array, "dididdd"))
+        log_t, log_e, log_b0 = log[0].append, log[1].append, log[2].append
+        at, allocs, b0_at, t0_at = log[3].append, log[4].extend, log[5].extend, log[6].extend
+    else:
+        log = None
     cost = 0.0
     exp_prev = 1.0
     e = -1  # last event's clock index; 0 is the horizon
@@ -414,7 +447,11 @@ def _simulate(
             alloc = tables[p].get(mask) or ctx.allocation(x, mask, p)
             if alloc is not xi:
                 xi = alloc
-                hx, wy = sum(map(mul, h, x)), sum(map(mul, y, x))
+                hx = sum(map(mul, h, x))
+                if switching:
+                    wy = sum(map(mul, y, x))
+                for tk, k in heap:
+                    clock[k] = tk
                 for j in range(nj):
                     a = xi[j]
                     if a != eff[j]:
@@ -422,51 +459,54 @@ def _simulate(
                         t0[j] = t
                         eff[j] = a
                         # Rounding can leave b0 a hair past thresh.
-                        clock[1 + ni + j] = (
-                            t + max(thresh[j] - b0[j], 0.0) / a if a > 0.0 else math.inf
-                        )
+                        clock[off + j] = t + max(thresh[j] - b0[j], 0.0) / a if a > 0.0 else math.inf
+                heap = list(zip(clock, keys))
+                heapify(heap)
                 if record:
-                    changes.append((len(log[0]), xi, tuple(b0), tuple(t0)))
+                    at(len(log[0]))
+                    allocs(xi)
+                    b0_at(b0)
+                    t0_at(t0)
         if record:
             log_t(t)
             log_e(e)
             if e > ni:
-                log_b0(b0[e - 1 - ni])
+                log_b0(b0[e - off])
         if not e:
-            return log, cost * inv_sqrt_n / gamma, sum(map(mul, h, x)) * inv_sqrt_n
-        e = clock.index(t_next := min(clock))
-        exp_next = math.exp(-gamma * t_next)
+            return log, cost * inv_sqrt_n / inst.gamma, sum(map(mul, h, x)) * inv_sqrt_n
+        t, e = heap[0]
+        exp_next = exp(neg_gamma * t)
         cost += hx * (exp_prev - exp_next)
         exp_prev = exp_next
-        t = t_next
+        i = cls[e]
         if e > ni:
-            j = e - 1 - ni
-            b0[j] = thresh[j]
+            j = e - off
+            b = b0[j] = thresh[j]
             t0[j] = t
-            thresh[j] += svc_next[j]()
-            clock[e] = t + (thresh[j] - b0[j]) / eff[j]
-            i = cls_of[j]
+            b_next = thresh[j] = b + draw[e]()
+            heapreplace(heap, (t + (b_next - b) / eff[j], e))
             x[i] -= 1
-            hx -= h[i]
-            wy -= y[i]
             if x[i] <= 0:
                 if x[i] < 0:
                     raise SimulatorInvariantError("departure from an empty class")
                 mask ^= 1 << i
                 moved = True
         elif e:
-            i = e - 1
+            heapreplace(heap, (t + draw[e](), e))
             x[i] += 1
-            hx += h[i]
-            wy += y[i]
             if x[i] == 1:
                 mask |= 1 << i
                 moved = True
-            clock[e] = t + arr_next[i]()
+        else:
+            continue  # the horizon: its row ends the run
+        hx += dh[e]
         if switching:
-            q = bisect_right(cuts, wy * inv_sqrt_n)
-            if q != p:
-                p, moved = q, True
+            wy += dy[e]
+            w = wy * inv_sqrt_n
+            if not lo <= w < hi:
+                p = bisect_right(cuts, w)
+                lo, hi = bounds[p]
+                moved = True
 
 
 def _run_horizon(inst: PssInstance, n: int, horizon: float | None) -> float:
@@ -533,11 +573,11 @@ def _column_blocks(log, inst: PssInstance, size: int):
     crosses from one block to the next is the state at the row before it:
     the counts and each activity's last re-base.
     """
-    times, events, done_b0, changes = log
+    times, events, done_b0, at, allocs, b0_at, t0_at = log
     ni, nj = inst.num_classes, inst.num_activities
     t_all, e_all = np.frombuffer(times), np.frombuffer(events, np.intc)
-    done_b0 = np.frombuffer(done_b0)
-    at, allocs, b0_at, t0_at = (np.array(c) for c in zip(*changes))
+    done_b0, at = np.frombuffer(done_b0), np.frombuffer(at, np.intc)
+    allocs, b0_at, t0_at = (np.frombuffer(c).reshape(-1, nj) for c in (allocs, b0_at, t0_at))
     rows = len(t_all)
     arr0, dep0 = np.zeros(ni, np.int64), np.zeros(nj, np.int64)
     base_b0, base_t0 = np.zeros(nj), np.zeros(nj)

@@ -248,7 +248,9 @@ def test_c7_pathwise_relations_on_random_traces():
     assert stamp(7, ok, f"{traces} traces, max relative violation {worst:.2e}")
 
 
-def test_c8_prelimit_cost_dominates_bound():
+def test_c8_prelimit_cost_dominates_bound(monkeypatch):
+    # Two worker processes; estimates do not depend on the worker count.
+    monkeypatch.setenv("PSS_THREADS", "2")
     inst, an = fresh("example_a1")
     sol = solve_hjb(an.coefficients, inst.gamma)
     policies = (
