@@ -203,8 +203,8 @@ class QcpTrace(QcpRun):
 
 @dataclass(frozen=True)
 class QcpLog(QcpRun):
-    """One run's event log, as _simulate records it; check_scaled streams
-    it through the scaled series and the checks."""
+    """One run's event log, the seven flat arrays _simulate records;
+    check_scaled streams it through the scaled series and the checks."""
 
     log: tuple
 
@@ -459,7 +459,9 @@ def _simulate(
                         t0[j] = t
                         eff[j] = a
                         # Rounding can leave b0 a hair past thresh.
-                        clock[off + j] = t + max(thresh[j] - b0[j], 0.0) / a if a > 0.0 else math.inf
+                        clock[off + j] = (
+                            t + max(thresh[j] - b0[j], 0.0) / a if a > 0.0 else math.inf
+                        )
                 heap = list(zip(clock, keys))
                 heapify(heap)
                 if record:
