@@ -1,5 +1,6 @@
 """Workload equation solver: closed forms, grid convergence, policies."""
 
+import hashlib
 import math
 import os
 import pathlib
@@ -350,6 +351,27 @@ def test_fine_grid_solves_switching_instance(get_instance, get_analysis):
     # u0 of the smooth-fit closed form, pasting the two modes' solutions
     # with C^2 contact at the threshold.
     assert abs(sol.u0 - 0.3538526026) <= 1e-8
+
+
+# sha256 of u, du, d2u and mode_at (each dtype, then bytes), iterations and
+# residual_max of solve_hjb on example_a2, by grid size.
+HJB_PINS = {
+    4000: ("88a960c9b3a35dc52a90fac378d2a240e542cf98e518aeaa53fcdb5efc26bdda", 3,
+           2.057187753479184e-12),
+    64000: ("a312a974bff369f42878a4b69907892665d4455c88af684a265df912fa2e8b61", 3,
+            4.4903053497691303e-10),
+}
+
+
+@pytest.mark.parametrize("grid_n", sorted(HJB_PINS))
+def test_solve_hjb_pinned(grid_n, get_instance, get_analysis):
+    inst, an = get_instance("example_a2"), get_analysis("example_a2")
+    sol = solve_hjb(an.coefficients, inst.gamma, HjbConfig(grid_n=grid_n))
+    h = hashlib.sha256()
+    for a in (sol.u, sol.du, sol.d2u, sol.mode_at):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    assert (h.hexdigest(), sol.iterations, sol.residual_max) == HJB_PINS[grid_n]
 
 
 def test_residual_past_roundoff_floor_advises_coarser_grid(get_instance, get_analysis):

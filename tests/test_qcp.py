@@ -979,6 +979,23 @@ def test_event_kernel_pinned_at_benchmark_size(get_instance, get_analysis):
     assert (trace.cost, trace.h_horizon) == (cost, h_t)
     assert _digest(trace, ("x", "arrivals", "departures")) == counts
     assert _digest(trace, ("times", "busy", "alloc")) == floats
+    # At 8 rows, activity 0 (clock index 3, c2_s = 4) completes twice at one
+    # instant: the service drawn at the first completion is positive but
+    # below half an ulp of its threshold, so neither the threshold (busy at a
+    # completion) nor the completion time moves, and the new clock entry
+    # equals t.
+    tied = np.flatnonzero(trace.times[1:] == trace.times[:-1])
+    assert len(tied) == 8
+    steps = np.diff(trace.departures, axis=0)
+    assert (steps[tied - 1] == (1, 0, 0, 0)).all() and (steps[tied] == (1, 0, 0, 0)).all()
+    threshold = trace.busy[tied, 0]
+    assert np.array_equal(trace.busy[tied + 1, 0], threshold)
+    _, mu_n = effective_rates(inst, 400)
+    seq = np.random.SeedSequence(1, spawn_key=(0, 1, 0))
+    services = renewal_stream(inst.c2_service[0], mu_n[0], np.random.Generator(np.random.Philox(seq)))
+    draws = np.fromiter(services, float, int(trace.departures[-1, 0]) + 1)
+    service = draws[trace.departures[tied, 0]]
+    assert (service > 0).all() and (service < np.spacing(threshold) / 2).all()
 
 
 # One class on two servers, its two activities of equal dyadic rate with
