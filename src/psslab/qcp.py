@@ -10,14 +10,14 @@ to it, at the allocated fraction (head-of-line effort splitting with
 preemptive resume, so a frozen clock keeps its progress). Queue lengths
 are exact integer counts; between events all continuous quantities are
 linear, so traces record event instants only and every integral below is
-evaluated piecewise exactly. The next event comes off a binary heap of
-(time, clock index) pairs, one per clock entry (the horizon, the arrivals,
-the service completions), so equal times resolve to the lower index: the
-horizon first, then arrivals, then completions. An arrival or a completion
-moves only its own entry; the allocation is looked up only when the
-backlog mask or the selector interval moves, and where it changes the
-moved completion times are rewritten and the heap is rebuilt (see
-_simulate).
+evaluated piecewise exactly. The next event time is the top of a binary
+heap of the clock's times (the horizon, the arrivals, the service
+completions), and the event is the lowest clock index at that time, so
+equal times resolve to the horizon first, then arrivals, then
+completions. An arrival or a completion moves only its own entry; the
+allocation is looked up only when the backlog mask or the selector
+interval moves, and where it changes the moved completion times are
+rewritten and the heap is rebuilt (see _simulate).
 
 A recorded run keeps an event log, not rows: each row's time and event,
 the effort b0 of each completing activity, and at each allocation change
@@ -370,17 +370,19 @@ def _simulate(
     The clock has one entry per event source, by clock index: 0 the
     horizon, 1..I the classes' next arrivals, then the J activities' next
     service completions (inf without effort), each an absolute time. A
-    binary heap of (time, clock index) pairs orders them, so heap[0] is the
-    next event and ties go to the lower index: the horizon first, then
-    arrivals, then completions, each in index order. An arrival or a
-    completion moves only its own entry, one heapreplace. Activity j's
-    cumulative effort is b0[j] + eff[j] (t - t0[j]); its completion time
-    changes only when it completes or its effort changes. The allocation is
-    looked up only when the backlog mask or the selector interval has
-    moved; when it changes, every moved completion time is rewritten and
-    the heap rebuilt. hx = h.x and wy = y.x are running sums (exact for
-    integer-valued weights), re-summed whenever the allocation changes; wy
-    is kept only under a switching selector.
+    binary heap holds the same floats as the clock, so heap[0] is the next
+    event time t and clock.index(t) its lowest clock index: ties go to the
+    horizon first, then arrivals, then completions, each in index order,
+    also where a new time equals t. An arrival or a completion writes its
+    own clock entry and swaps it into the heap for t, one heapreplace.
+    Activity j's cumulative effort is b0[j] + eff[j] (t - t0[j]); its
+    completion time changes only when it completes or its effort changes.
+    The allocation is looked up only when the backlog mask or the selector
+    interval has moved; when it changes, every moved completion time is
+    rewritten in the clock and the heap is rebuilt from it. hx = h.x and
+    wy = y.x are running sums (exact for integer-valued weights), re-summed
+    whenever the allocation changes; wy is kept only under a switching
+    selector.
 
     A recorded run logs, per row, its time and the clock index of the
     event that led to it (-1 for row 0), and the b0 of the activity that
@@ -412,8 +414,7 @@ def _simulate(
     x = [0] * ni
     thresh = [d() for d in svc_next]
     clock = [horizon] + [d() for d in arr_next] + [math.inf] * nj
-    keys = range(len(clock))
-    heap = list(zip(clock, keys))
+    heap = clock[:]
     heapify(heap)
     eff = [0.0] * nj
     b0 = [0.0] * nj
@@ -450,8 +451,6 @@ def _simulate(
                 hx = sum(map(mul, h, x))
                 if switching:
                     wy = sum(map(mul, y, x))
-                for tk, k in heap:
-                    clock[k] = tk
                 for j in range(nj):
                     a = xi[j]
                     if a != eff[j]:
@@ -462,7 +461,7 @@ def _simulate(
                         clock[off + j] = (
                             t + max(thresh[j] - b0[j], 0.0) / a if a > 0.0 else math.inf
                         )
-                heap = list(zip(clock, keys))
+                heap = clock[:]
                 heapify(heap)
                 if record:
                     at(len(log[0]))
@@ -476,7 +475,8 @@ def _simulate(
                 log_b0(b0[e - off])
         if not e:
             return log, cost * inv_sqrt_n / inst.gamma, sum(map(mul, h, x)) * inv_sqrt_n
-        t, e = heap[0]
+        t = heap[0]
+        e = clock.index(t)
         exp_next = exp(neg_gamma * t)
         cost += hx * (exp_prev - exp_next)
         exp_prev = exp_next
@@ -486,7 +486,8 @@ def _simulate(
             b = b0[j] = thresh[j]
             t0[j] = t
             b_next = thresh[j] = b + draw[e]()
-            heapreplace(heap, (t + (b_next - b) / eff[j], e))
+            tn = clock[e] = t + (b_next - b) / eff[j]
+            heapreplace(heap, tn)
             x[i] -= 1
             if x[i] <= 0:
                 if x[i] < 0:
@@ -494,7 +495,8 @@ def _simulate(
                 mask ^= 1 << i
                 moved = True
         elif e:
-            heapreplace(heap, (t + draw[e](), e))
+            tn = clock[e] = t + draw[e]()
+            heapreplace(heap, tn)
             x[i] += 1
             if x[i] == 1:
                 mask |= 1 << i
