@@ -248,14 +248,22 @@ def _solve_linear(mode_at: np.ndarray, stencils, dz: float, gamma: float) -> np.
     index = np.full((1 << (n - 1).bit_length()) - 1, len(stencils))
     index[1 : n - 2] = mode_at[2 : n - 1]
     lo, di, hi, rhs = rows[:, index]
-    fixed = np.zeros((3, len(index)))
-    fixed[0] = rhs
-    fixed[1, 0] = fixed[2, n - 2] = 1.0
-    xp, x1, xn = _cyclic_reduction(lo, di, hi, fixed)
     k = n - 3  # the inner neighbour of w_{n-1}
+
+    def ends(b):
+        """Entries 1 and k of the reduction of b, all the 2 x 2 solve reads."""
+        return _cyclic_reduction(lo, di, hi, b)[[1, k]]
+
+    def unit(row):
+        e = np.zeros(len(index))
+        e[row] = 1.0
+        return e
+
+    # One right-hand side at a time, so that only one solution is held.
+    xp, x1, xn = ends(rhs), ends(unit(0)), ends(unit(n - 2))
     rhs[0], rhs[n - 2] = np.linalg.solve(
-        [[p1 + q1 * x1[1], q1 * xn[1]], [qn * x1[k], pn + qn * xn[k]]],
-        [r1 - q1 * xp[1], rn - qn * xp[k]],
+        [[p1 + q1 * x1[0], q1 * xn[0]], [qn * x1[1], pn + qn * xn[1]]],
+        [r1 - q1 * xp[0], rn - qn * xp[1]],
     )
     w = np.empty(n + 1)
     w[1:n] = _cyclic_reduction(lo, di, hi, rhs)[: n - 1]

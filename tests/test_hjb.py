@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,6 +373,31 @@ def test_solve_hjb_pinned(grid_n, get_instance, get_analysis):
         h.update(a.dtype.str.encode())
         h.update(a.tobytes())
     assert (h.hexdigest(), sol.iterations, sol.residual_max) == HJB_PINS[grid_n]
+
+
+def test_linear_solve_peak_memory(get_instance, get_analysis):
+    # The three right-hand sides are reduced one at a time, keeping only the
+    # two entries of each that the 2 x 2 solve reads. On example_a2 at grid
+    # 64000 the traced peak is 12.3 times the solution's bytes; reduced
+    # together as a 3-row stack they took 18.4 times.
+    inst, an = get_instance("example_a2"), get_analysis("example_a2")
+    grid_n = 64000
+    sol = solve_hjb(an.coefficients, inst.gamma, HjbConfig(grid_n=grid_n))
+    dz = default_z_max(an.coefficients, inst.gamma) / grid_n
+    stencils = hjb._stencils(an.coefficients, dz, inst.gamma)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        w = hjb._solve_linear(sol.mode_at, stencils, dz, inst.gamma)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert np.array_equal(w + sol.grid / inst.gamma, sol.u)
+    assert peak <= 15 * w.nbytes
 
 
 def test_residual_past_roundoff_floor_advises_coarser_grid(get_instance, get_analysis):
