@@ -132,13 +132,13 @@ def test_cost_estimate_matches_closed_form_value():
 
 def test_cost_estimate_independent_of_batch_layout(monkeypatch):
     # 300 paths are five blocks, the last one part used. 250 steps are
-    # several chunks of 37 with a short last one, or one short chunk.
-    # Batches of one, two or five blocks.
+    # several chunks of 37 with a short last one, or one short chunk of
+    # 256. Batches of one, two or five blocks.
     pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
     coef = ((-0.1, 0.8), (0.1, 0.5))
     kw = dict(gamma=1.0, step=1e-2, horizon=2.5, n_paths=300, seed=12)
     ref = estimate_wcp_cost(pol, coef, **kw)
-    for chunk in (37, wcp._CHUNK):
+    for chunk in (37, 256, wcp._CHUNK):
         monkeypatch.setattr(wcp, "_CHUNK", chunk)
         for blocks in (1, 2, 5):
             monkeypatch.setattr(wcp, "_BATCH", blocks * wcp._LANES)
