@@ -67,7 +67,7 @@ from .qcp import (
     record_qcp,
     verify_lower_bound,
 )
-from .wcp import default_horizon, estimate_wcp_cost, simulate_wcp
+from .wcp import MAX_STEPS, default_horizon, estimate_wcp_cost, simulate_wcp
 
 EXIT_OK = 0
 EXIT_PARSE = 10
@@ -90,9 +90,11 @@ def _positive(v: float) -> bool:
 
 
 def _check_horizon(horizon: float, step: float) -> None:
-    """sim-wcp simulates at least one step over a finite horizon."""
+    """sim-wcp simulates at least one step and at most MAX_STEPS over a
+    finite horizon."""
     _need(math.isfinite(horizon), f"horizon {horizon} is not a finite number")
     _need(horizon >= step, f"horizon {horizon} is shorter than --step")
+    _need(horizon / step <= MAX_STEPS, f"horizon {horizon} is more than 2**53 steps of --step")
 
 
 def _n_list(text: str) -> tuple[int, ...]:

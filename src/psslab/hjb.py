@@ -293,7 +293,14 @@ def solve_hjb(
     n = config.grid_n
     grid = np.linspace(0.0, z_max, n + 1)
     dz = z_max / n
-    stencils = _stencils(coefficients, dz, gamma)
+    # The stencils divide by dz^2, which underflows on a fine enough grid;
+    # just above that, sigma2 / (2 dz^2) overflows.
+    stencils = _stencils(coefficients, dz, gamma) if dz * dz > 0.0 else None
+    if stencils is None or not np.isfinite(stencils).all():
+        raise HjbConvergenceError(
+            f"grid step {dz:.1e} is too fine for floating point: its stencils "
+            "divide by 0 or overflow; coarsen the grid"
+        )
 
     m0 = dominant_mode(coefficients)
     if m0 is not None:

@@ -23,12 +23,15 @@ two streams never overlap. A path therefore depends only on
 
 One kernel advances whole blocks of paths in lockstep. Noise is drawn
 _CHUNK steps at a time, each block's stream straight into its own
-(chunk, _LANES) slab with one call, so memory is O(batch x chunk)
-whatever the horizon. The draws release the interpreter lock: while the
-kernel steps through one chunk, the batch's one executor thread takes
-the next chunk's fill calls, one per block and stream, from a queue, and
-the kernel's thread takes those left once it has stepped. Each call runs
-once, so the draws do not depend on which thread makes them. A step
+(chunk, _LANES) slab with one call, and the estimate's discount weights
+are computed a chunk at a time too, so memory is O(batch x chunk)
+whatever the horizon: for a batch of 32 blocks, 2 buffers x 2 streams x
+32 blocks x 128 steps x 64 lanes x 8 bytes = 8.4 MB of noise. The
+draws release the interpreter lock: while the kernel steps through one
+chunk, the batch's one executor thread takes the next chunk's fill
+calls, one per block and stream, from a queue, and the kernel's thread
+takes those left once it has stepped. Each call runs once, so the draws
+do not depend on which thread makes them. A step
 finds each path's policy interval with one comparison per threshold,
 which counts the thresholds <= z exactly as a sorted search would, ties
 included, and gathers that interval's coefficients with one take.
@@ -112,20 +115,27 @@ def skorokhod_map(psi: np.ndarray, eta0: float = 0.0) -> tuple[np.ndarray, np.nd
 
 
 _LANES = 64  # paths per noise stream; block b holds paths b * _LANES onwards
-_CHUNK = 256  # time steps of noise drawn at a time into each of two buffers
+# Time steps of noise drawn at a time into each of two buffers: a block's
+# two buffers of two streams hold 2 x 2 x 128 x 64 x 8 bytes = 0.26 MB.
+_CHUNK = 128
 _BATCH = 32 * _LANES  # paths advanced together by estimate_wcp_cost, a multiple of _LANES
+# Most Euler steps of a run: above 2**53 a step's index, which the discount
+# weight exp(-gamma * step * k) takes as a float, is no longer exact.
+MAX_STEPS = 2**53
 
 
 def _check_run(z0: float, step: float, horizon: float, path_id: int = 0) -> int:
     """Number of Euler steps of a run, after checking that z0 is finite and
-    nonnegative, path_id nonnegative, and 0 < step <= horizon with horizon
-    finite."""
+    nonnegative, path_id nonnegative, 0 < step <= horizon with horizon
+    finite, and that the run has at most MAX_STEPS steps."""
     if not 0.0 <= z0 < math.inf:
         raise ValueError("z0 must be finite and nonnegative")
     if path_id < 0:
         raise ValueError("path_id must be nonnegative")
     if not (0 < step <= horizon and math.isfinite(horizon)):
         raise ValueError("need 0 < step <= horizon, horizon finite")
+    if not horizon / step <= MAX_STEPS:
+        raise ValueError("need horizon / step <= 2**53 steps")
     return int(round(horizon / step))
 
 
@@ -376,23 +386,31 @@ def estimate_wcp_cost(
     )
 
 
+def _weights(gamma, step, n_steps):
+    """Yield the trapezoid weights exp(-gamma t_k) of steps k = 1 ..
+    n_steps, the last one halved, computed _CHUNK steps at a time."""
+    for k0 in range(0, n_steps, _CHUNK):
+        k1 = min(k0 + _CHUNK, n_steps)
+        w = np.exp(-gamma * step * np.arange(k0 + 1, k1 + 1))
+        if k1 == n_steps:
+            w[-1] *= 0.5
+        yield from w.tolist()
+
+
 def _path_costs(policy, coefficients, gamma, z0, step, n_steps, n_paths, seed):
     """Discounted cost of paths 0 .. n_paths - 1, whole blocks of _LANES
     paths at a time (lanes past n_paths are run and dropped)."""
-    # Trapezoid weights exp(-gamma t_k), with the end weights halved.
-    weights = np.exp(-gamma * step * np.arange(n_steps + 1))
-    weights[[0, -1]] *= 0.5
-    w = weights.tolist()
     costs = np.empty(n_paths)
     per_batch = _BATCH // _LANES
     n_blocks = -(-n_paths // _LANES)
     for b0 in range(0, n_blocks, per_batch):
         blocks = range(b0, min(b0 + per_batch, n_blocks))
-        acc = np.full((len(blocks), _LANES), w[0] * float(z0))
+        # The weight of t_0 = 0 is exp(0) halved.
+        acc = np.full((len(blocks), _LANES), 0.5 * float(z0))
         wz = np.empty_like(acc)
         lanes = _steps(policy, coefficients, z0, step, n_steps, seed, blocks)
-        for k, (z, _) in enumerate(lanes, 1):
-            np.multiply(z, w[k], out=wz)
+        for (z, _), w in zip(lanes, _weights(gamma, step, n_steps)):
+            np.multiply(z, w, out=wz)
             acc += wz
         part = costs[b0 * _LANES : blocks.stop * _LANES]
         np.multiply(acc.ravel()[: len(part)], step, out=part)

@@ -388,6 +388,9 @@ def test_reports_written_under_out(capsys, tmp_path):
         # One replication records the trace alone; fewer is no run at all.
         (["sim-qcp", "--n", "4", "--reps", "0"], None),
         (["sim-qcp", "--n", "4", "--reps", "-3"], None),
+        # More than 2**53 steps, over the default horizon or a given one.
+        (["sim-wcp", "--step", "1e-300"], None),
+        (["sim-wcp", "--step", "0.5", "--horizon", "1e300"], None),
     ],
 )
 def test_bad_options_exit_10(capsys, monkeypatch, argv, env):
@@ -412,6 +415,14 @@ def test_bad_options_exit_10(capsys, monkeypatch, argv, env):
 def test_bad_option_values_named(capsys, argv, message):
     code, out, err = run(capsys, *argv[:1], "--instance", path_of("mm1"), *argv[1:])
     assert (code, out, err) == (10, "", f"error: {message}\n")
+
+
+def test_too_fine_an_hjb_grid_exits_30(capsys):
+    # --z-max 1e-300 over 4000 cells: dz^2 underflows to 0.
+    argv = ["--instance", path_of("example_a2"), "--z-max", "1e-300"]
+    code, out, err = run(capsys, "solve-hjb", *argv)
+    assert code == 30 and out == ""
+    assert err.startswith("solver error: grid step 2.5e-304 is too fine for floating point")
 
 
 def test_n_list_checked_before_any_work(capsys, monkeypatch):

@@ -84,6 +84,14 @@ def test_solver_input_validation():
             solve_hjb(((0.0, 1.0), (-0.1, 2.0)), 1.0, HjbConfig(z_max=z_max))
 
 
+@pytest.mark.parametrize("z_max", [5e-324, 1e-300, 1e-155])
+def test_too_fine_a_grid_is_a_solver_error(z_max):
+    # dz^2 underflows to 0 at the first two; at 1e-155 it is subnormal and
+    # sigma2 / (2 dz^2) overflows.
+    with pytest.raises(HjbConvergenceError, match="too fine for floating point"):
+        solve_hjb(((0.0, 1.0), (-0.1, 2.0)), 1.0, HjbConfig(z_max=z_max))
+
+
 def test_single_mode_matches_closed_form():
     cf = single_mode_value(0.0, 2.0, 1.0)
     sol = solve_hjb(((0.0, 2.0),), 1.0)

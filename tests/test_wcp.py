@@ -4,6 +4,7 @@ import collections
 import hashlib
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,8 +133,9 @@ def test_cost_estimate_matches_closed_form_value():
 
 def test_cost_estimate_independent_of_batch_layout(monkeypatch):
     # 300 paths are five blocks, the last one part used. 250 steps are
-    # several chunks of 37 with a short last one, or one short chunk of
-    # 256. Batches of one, two or five blocks.
+    # several chunks of 37 or two of 128, each with a short last one, or
+    # one short chunk of 256, the old default. Batches of one, two or five
+    # blocks.
     pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
     coef = ((-0.1, 0.8), (0.1, 0.5))
     kw = dict(gamma=1.0, step=1e-2, horizon=2.5, n_paths=300, seed=12)
@@ -198,6 +200,39 @@ def test_no_noise_thread_outlives_a_run():
         next(lanes)
     lanes.close()
     assert _noise_threads() == []
+
+
+# The double-buffered noise slab of one block at a 128-step chunk: 2
+# buffers x 2 streams x 128 steps x 64 lanes x 8 bytes = 0.26 MB.
+BLOCK_SLAB = 2 * 2 * 128 * 64 * 8
+
+
+def _traced_peak(n_paths, step, horizon):
+    """Traced peak bytes of a switching-policy estimate of n_paths paths."""
+    pol = ModePolicy(thresholds=(0.3,), modes=(1, 0))
+    coef = ((-0.1, 0.8), (0.1, 0.5))
+    # The first run imports concurrent.futures, which the peak should not count.
+    estimate_wcp_cost(pol, coef, gamma=1.0, step=1e-2, horizon=1.0, n_paths=2, seed=0)
+    tracemalloc.start()
+    try:
+        estimate_wcp_cost(pol, coef, gamma=1.0, step=step, horizon=horizon, n_paths=n_paths,
+                          seed=3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_memory_is_one_noise_slab_of_its_batch():
+    # A full batch of 2048 paths over 800 steps, at least three chunks.
+    # Its slab is 32 blocks' worth, 8.4 MB; the peak read 8.70 MB.
+    assert 800 >= 3 * wcp._CHUNK
+    assert _traced_peak(wcp._BATCH, 1e-2, 8.0) <= 1.25 * 32 * BLOCK_SLAB
+
+
+def test_estimate_memory_does_not_grow_with_the_horizon():
+    # One block over 30,000 steps. Its slab is 0.26 MB, and the peak read
+    # 0.29 MB; weights held for every step would take about 1.2 MB.
+    assert _traced_peak(wcp._LANES, 1e-3, 30.0) <= 1.5 * BLOCK_SLAB
 
 
 def _thread_of_fill():
@@ -382,6 +417,7 @@ def test_input_validation():
 
 
 STEP_ERROR = "need 0 < step <= horizon"
+COUNT_ERROR = r"need horizon / step <= 2\*\*53 steps"
 Z0_ERROR = "z0 must be finite and nonnegative"
 MODE_ERROR = r"mode -?\d+ is not in 0\.\.0"
 
@@ -394,6 +430,11 @@ MODE_ERROR = r"mode -?\d+ is not in 0\.\.0"
         pytest.param(math.nan, 1.0, 0.0, 0, 0, STEP_ERROR, id="nan-1.0"),
         pytest.param(1e-2, 1e-3, 0.0, 0, 0, STEP_ERROR, id="0.01-0.001"),
         pytest.param(1e-2, math.inf, 0.0, 0, 0, STEP_ERROR, id="0.01-inf"),
+        # More steps than a float counts exactly: refused before any array
+        # of the run is made.
+        pytest.param(1e-300, 1.0, 0.0, 0, 0, COUNT_ERROR, id="1e-300-1.0"),
+        pytest.param(0.5, 1e300, 0.0, 0, 0, COUNT_ERROR, id="0.5-1e300"),
+        pytest.param(1.0, 2.0**53 + 2.0, 0.0, 0, 0, COUNT_ERROR, id="1.0-2**53+2"),
         pytest.param(1e-2, 1.0, -1.0, 0, 0, Z0_ERROR, id="z0=-1"),
         pytest.param(1e-2, 1.0, math.nan, 0, 0, Z0_ERROR, id="z0=nan"),
         pytest.param(1e-2, 1.0, math.inf, 0, 0, Z0_ERROR, id="z0=inf"),
