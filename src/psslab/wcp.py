@@ -134,9 +134,10 @@ def _check_run(z0: float, step: float, horizon: float, path_id: int = 0) -> int:
         raise ValueError("path_id must be nonnegative")
     if not (0 < step <= horizon and math.isfinite(horizon)):
         raise ValueError("need 0 < step <= horizon, horizon finite")
-    if not horizon / step <= MAX_STEPS:
+    n_steps = horizon / step
+    if not n_steps <= MAX_STEPS:
         raise ValueError("need horizon / step <= 2**53 steps")
-    return int(round(horizon / step))
+    return int(round(n_steps))
 
 
 def _block_streams(seed: int, block: int):
